@@ -85,22 +85,46 @@ func MulInto(dst, a, b *Matrix) error {
 	return nil
 }
 
-// colorBlockCols is the column-panel width of ColorBlock. A panel of W plus
-// the matching panel of Z stays resident in L1 while the n accumulation
-// passes over it run (128 columns × 16 bytes = 2 KiB per row).
-const colorBlockCols = 128
+// colorPackLen is the size, in complex values, of ColorBlock's pack buffer:
+// 16 KiB on the stack, so a packed panel plus the coloring rows a tile reads
+// stay resident in L1.
+const colorPackLen = 1024
+
+// colorPackK caps the k extent of one packed panel, so every panel spans at
+// least colorPackLen/colorPackK columns however large n is.
+const colorPackK = 128
+
+// colorRowPanel is the column-panel width when n < 4 leaves nothing to
+// pack: the W rows and Z rows of a 128-column panel (2 KiB each) stay in L1
+// while each row makes its n passes.
+const colorRowPanel = 128
 
 // ColorBlock computes Z = L·W as one cache-blocked matrix-matrix product.
 // L is the n×n coloring matrix, W an n×m block whose column l is the raw
 // sample vector at time instant l, and Z the n×m destination. This turns the
 // per-instant coloring loop of the real-time generator (m independent
-// mat-vec products) into a single GEMM over flat backing arrays: W's rows are
-// streamed with unit stride through a register-blocked kernel, so throughput
-// is bounded by arithmetic rather than call and allocation overhead. When
-// every entry of L is purely real (the case for every real-valued covariance
-// target) a two-multiply-per-sample kernel runs instead of the full complex
-// product; its results are bit-identical to the generic kernel's. Z must not
-// alias L or W.
+// mat-vec products) into a single GEMM over flat backing arrays.
+//
+// W is processed in column panels. Each panel is first packed into a
+// fixed-size stack buffer with its columns k-contiguous, so a large
+// power-of-two m (whose W rows sit a multiple of the L1 set stride apart)
+// never walks W with a large stride. A micro-kernel then computes four rows
+// × one column of Z at a time, summing over k in registers. The n mod 4 rows
+// left over (every row when n < 4, where nothing is packed) accumulate
+// straight from W's rows with unit stride. When every entry of L is purely
+// real (the case for every real-valued covariance target) the kernels
+// multiply each sample by a real scalar (two multiplies) instead of forming
+// the full complex product.
+//
+// Every entry of Z is one ascending-k chain starting from 0, each term
+// rounded on its own (no fused multiply-add, whatever GOAMD64 is). For finite
+// W, Z is bit-identical to the naive triple loop that adds L[i][k]·W[k][l]
+// for k = 0..n−1, skipping zero entries of L and applying real entries as two
+// real multiplies. The complex kernel forms the full product for every entry
+// instead; on a real or zero entry that differs only in the sign of a zero
+// term, and a running sum that starts at +0 is never −0, so adding ±0 leaves
+// it unchanged. A panel taller than colorPackK resumes each chain from its
+// stored partial sum, which is exact. Z must not alias L or W.
 //
 // fadinglint:allocfree
 func ColorBlock(l, w, z *Matrix) error {
@@ -122,163 +146,188 @@ func ColorBlock(l, w, z *Matrix) error {
 			break
 		}
 	}
-	for j0 := 0; j0 < m; j0 += colorBlockCols {
-		j1 := j0 + colorBlockCols
-		if j1 > m {
-			j1 = m
+	if n < 4 {
+		// Too few rows for a tile: stream every row straight from W, one
+		// column panel at a time.
+		for j0 := 0; j0 < m; j0 += colorRowPanel {
+			j1 := min(j0+colorRowPanel, m)
+			for i := 0; i < n; i++ {
+				kt := nonzeroExtent(l.data, n, i, i+1, 0, n)
+				colorRow(l.data[i*n:][:kt], w.data[j0:], m, z.data[i*m+j0:i*m+j1], false, allReal)
+			}
 		}
-		switch {
-		case allReal && m > colorBlockCols:
-			colorPanelRealWide(l.data, w.data, z.data, n, m, j0, j1)
-		case allReal:
-			colorPanelReal(l.data, w.data, z.data, n, m, j0, j1)
-		default:
-			colorPanelCmplx(l.data, w.data, z.data, n, m, j0, j1)
-		}
+		return nil
 	}
+	colorPacked(l.data, w.data, z.data, n, m, allReal)
 	return nil
 }
 
-// colorPanelRealWide accumulates one column panel of Z = L·W for purely real
-// L by streaming W rows with unit stride and updating four output rows per
-// sweep. It is the kernel of choice for wide blocks (the real-time path,
-// where m is the IDFT length): with large power-of-two m the columns of W
-// are far apart, so the k-strided tile kernel below would thrash a single L1
-// set, while this form is prefetch-friendly. Accumulation order over k is
-// unchanged, so results match the generic kernel bit for bit.
-func colorPanelRealWide(ld, wd, zd []complex128, n, m, j0, j1 int) {
-	width := j1 - j0
+// colorPacked is ColorBlock for n >= 4: it walks W in column panels, packs
+// each into the stack buffer and colors it. It is a function of its own so
+// that only this path pays for the large stack frame.
+func colorPacked(ld, wd, zd []complex128, n, m int, allReal bool) {
+	var pack [colorPackLen]complex128
+	var tile [colorPackK][4]complex128
+	kc := min(n, colorPackK)
+	width := colorPackLen / kc
+	for j0 := 0; j0 < m; j0 += width {
+		j1 := min(j0+width, m)
+		for k0 := 0; k0 < n; k0 += kc {
+			k1 := min(k0+kc, n)
+			p := pack[:(j1-j0)*(k1-k0)]
+			packPanel(p, wd, m, j0, j1, k0, k1)
+			colorPanel(ld, p, wd, zd, &tile, n, m, j0, j1, k0, k1, allReal)
+		}
+	}
+}
+
+// packPanel copies rows k0..k1−1, columns j0..j1−1 of the row-major n×m
+// matrix wd into p with each column contiguous: p[q·(k1−k0)+k−k0] =
+// W[k][j0+q].
+func packPanel(p, wd []complex128, m, j0, j1, k0, k1 int) {
+	kw := k1 - k0
+	k := k0
+	// Four rows at a time: each column's four values land side by side.
+	for ; k+4 <= k1; k += 4 {
+		r0 := wd[k*m+j0 : k*m+j1]
+		r1 := wd[(k+1)*m+j0:][:len(r0)]
+		r2 := wd[(k+2)*m+j0:][:len(r0)]
+		r3 := wd[(k+3)*m+j0:][:len(r0)]
+		for q := range r0 {
+			d := p[q*kw+k-k0:][:4]
+			d[0], d[1], d[2], d[3] = r0[q], r1[q], r2[q], r3[q]
+		}
+	}
+	for ; k < k1; k++ {
+		row := wd[k*m+j0 : k*m+j1]
+		for q, v := range row {
+			p[q*kw+k-k0] = v
+		}
+	}
+}
+
+// colorPanel accumulates the terms k0..k1−1 of Z[i][j0..j1−1] for every row
+// i from the packed panel p: four rows at a time through a register tile,
+// and the n mod 4 rows left over one at a time. With k0 > 0 each chain
+// resumes from the partial sum already in Z. Within a tile, the k range
+// stops after the last nonzero coloring entry of its rows, so triangular
+// colorings (Cholesky factors) skip their zero half.
+//
+// tile receives the four L rows of a tile interleaved by k, so the
+// micro-kernel walks one pointer for L and one for the packed column.
+func colorPanel(ld, p, wd, zd []complex128, tile *[colorPackK][4]complex128, n, m, j0, j1, k0, k1 int, allReal bool) {
+	kw := k1 - k0
+	resume := k0 > 0
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		z0 := zd[i*m+j0 : i*m+j1 : i*m+j1]
-		z1 := zd[(i+1)*m+j0 : (i+1)*m+j1 : (i+1)*m+j1]
-		z2 := zd[(i+2)*m+j0 : (i+2)*m+j1 : (i+2)*m+j1]
-		z3 := zd[(i+3)*m+j0 : (i+3)*m+j1 : (i+3)*m+j1]
-		for q := 0; q < width; q++ {
-			z0[q], z1[q], z2[q], z3[q] = 0, 0, 0, 0
+		kt := nonzeroExtent(ld, n, i, i+4, k0, k1)
+		lt := tile[:kt]
+		for k := range lt {
+			c := i*n + k0 + k
+			lt[k] = [4]complex128{ld[c], ld[c+n], ld[c+2*n], ld[c+3*n]}
 		}
-		for k := 0; k < n; k++ {
-			l0 := real(ld[i*n+k])
-			l1 := real(ld[(i+1)*n+k])
-			l2 := real(ld[(i+2)*n+k])
-			l3 := real(ld[(i+3)*n+k])
-			if l0 == 0 && l1 == 0 && l2 == 0 && l3 == 0 {
-				continue
-			}
-			wrow := wd[k*m+j0 : k*m+j1 : k*m+j1]
-			for q, wv := range wrow {
-				wr, wi := real(wv), imag(wv)
-				z0[q] += complex(l0*wr, l0*wi)
-				z1[q] += complex(l1*wr, l1*wi)
-				z2[q] += complex(l2*wr, l2*wi)
-				z3[q] += complex(l3*wr, l3*wi)
-			}
+		z := zd[i*m+j0 : (i+3)*m+j1]
+		if allReal {
+			colorTileReal(lt, p, kw, z, m, resume)
+		} else {
+			colorTileCmplx(lt, p, kw, z, m, resume)
 		}
 	}
 	for ; i < n; i++ {
-		zrow := zd[i*m+j0 : i*m+j1 : i*m+j1]
-		for q := range zrow {
-			zrow[q] = 0
+		kt := nonzeroExtent(ld, n, i, i+1, k0, k1)
+		colorRow(ld[i*n+k0:][:kt], wd[k0*m+j0:], m, zd[i*m+j0:i*m+j1], resume, allReal)
+	}
+}
+
+// colorTileReal is the real-coloring micro-kernel. For each column q of the
+// panel it sums the four interleaved rows of lt against the packed column in
+// registers and stores the sums to z[q], z[m+q], z[2m+q] and z[3m+q].
+func colorTileReal(lt [][4]complex128, p []complex128, kw int, z []complex128, m int, resume bool) {
+	width := len(z) - 3*m
+	for q := 0; q < width; q++ {
+		var a0, a1, a2, a3 complex128
+		if resume {
+			a0, a1, a2, a3 = z[q], z[m+q], z[2*m+q], z[3*m+q]
 		}
-		for k := 0; k < n; k++ {
-			lr := real(ld[i*n+k])
-			if lr == 0 {
-				continue
+		wc := p[q*kw:][:len(lt)]
+		for k, v := range wc {
+			wr, wi := real(v), imag(v)
+			c := &lt[k]
+			c0, c1, c2, c3 := real(c[0]), real(c[1]), real(c[2]), real(c[3])
+			a0 += complex(float64(c0*wr), float64(c0*wi))
+			a1 += complex(float64(c1*wr), float64(c1*wi))
+			a2 += complex(float64(c2*wr), float64(c2*wi))
+			a3 += complex(float64(c3*wr), float64(c3*wi))
+		}
+		z[q], z[m+q], z[2*m+q], z[3*m+q] = a0, a1, a2, a3
+	}
+}
+
+// colorTileCmplx is colorTileReal for a coloring with complex entries.
+func colorTileCmplx(lt [][4]complex128, p []complex128, kw int, z []complex128, m int, resume bool) {
+	width := len(z) - 3*m
+	for q := 0; q < width; q++ {
+		var a0, a1, a2, a3 complex128
+		if resume {
+			a0, a1, a2, a3 = z[q], z[m+q], z[2*m+q], z[3*m+q]
+		}
+		wc := p[q*kw:][:len(lt)]
+		for k, v := range wc {
+			c := &lt[k]
+			a0 += mulRounded(c[0], v)
+			a1 += mulRounded(c[1], v)
+			a2 += mulRounded(c[2], v)
+			a3 += mulRounded(c[3], v)
+		}
+		z[q], z[m+q], z[2*m+q], z[3*m+q] = a0, a1, a2, a3
+	}
+}
+
+// colorRow accumulates one row of Z outside the register tiles straight
+// from the unpacked W rows: one unit-stride pass over the panel per coloring
+// entry, adding each term into z. w starts at the panel's first entry and
+// has row stride m. Every chain still runs in ascending k from 0 (or from its
+// stored partial sum).
+func colorRow(lr, w []complex128, m int, z []complex128, resume, allReal bool) {
+	if !resume {
+		clear(z)
+	}
+	for k, lv := range lr {
+		wrow := w[k*m:][:len(z)]
+		if allReal {
+			c := real(lv)
+			for q, v := range wrow {
+				z[q] += complex(float64(c*real(v)), float64(c*imag(v)))
 			}
-			wrow := wd[k*m+j0 : k*m+j1 : k*m+j1]
-			for q, wv := range wrow {
-				zrow[q] += complex(lr*real(wv), lr*imag(wv))
-			}
+			continue
+		}
+		for q, v := range wrow {
+			z[q] += mulRounded(lv, v)
 		}
 	}
 }
 
-// colorPanelReal accumulates one column panel of Z = L·W for purely real L
-// with a 2×2 register tile: two output rows × two columns accumulate in
-// registers across the full k sweep, so the kernel issues four loads per
-// sixteen floating-point operations instead of a z load/store pair per
-// element-op — arithmetic-bound rather than memory-uop-bound. Used for
-// narrow blocks (batched snapshot panels), where the k stride is small
-// enough that the W panel stays L1-resident without set aliasing.
-// Accumulation order over k is unchanged (one ascending chain per output
-// entry), so results match the generic kernel bit for bit.
-func colorPanelReal(ld, wd, zd []complex128, n, m, j0, j1 int) {
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		l0 := ld[i*n : (i+1)*n : (i+1)*n]
-		l1 := ld[(i+1)*n : (i+2)*n : (i+2)*n]
-		z0 := zd[i*m+j0 : i*m+j1 : i*m+j1]
-		z1 := zd[(i+1)*m+j0 : (i+1)*m+j1 : (i+1)*m+j1]
-		q := 0
-		for ; q+2 <= len(z0); q += 2 {
-			var a00, a01, a10, a11 complex128
-			idx := j0 + q
-			for k := 0; k < n; k++ {
-				w0 := wd[idx]
-				w1 := wd[idx+1]
-				idx += m
-				c0 := real(l0[k])
-				c1 := real(l1[k])
-				a00 += complex(c0*real(w0), c0*imag(w0))
-				a01 += complex(c0*real(w1), c0*imag(w1))
-				a10 += complex(c1*real(w0), c1*imag(w0))
-				a11 += complex(c1*real(w1), c1*imag(w1))
+// nonzeroExtent returns how many of the columns k0..k1−1 of rows i0..i1−1
+// of the n×n matrix ld reach up to the last nonzero entry; the terms past it
+// are zero and leave every chain's running sum unchanged.
+func nonzeroExtent(ld []complex128, n, i0, i1, k0, k1 int) int {
+	kt := 0
+	for i := i0; i < i1; i++ {
+		for k := k1 - 1; k >= k0+kt; k-- {
+			if ld[i*n+k] != 0 {
+				kt = k - k0 + 1
+				break
 			}
-			z0[q], z0[q+1] = a00, a01
-			z1[q], z1[q+1] = a10, a11
-		}
-		for ; q < len(z0); q++ {
-			var a0, a1 complex128
-			idx := j0 + q
-			for k := 0; k < n; k++ {
-				wv := wd[idx]
-				idx += m
-				a0 += complex(real(l0[k])*real(wv), real(l0[k])*imag(wv))
-				a1 += complex(real(l1[k])*real(wv), real(l1[k])*imag(wv))
-			}
-			z0[q], z1[q] = a0, a1
 		}
 	}
-	if i < n {
-		lrow := ld[i*n : (i+1)*n : (i+1)*n]
-		zrow := zd[i*m+j0 : i*m+j1 : i*m+j1]
-		for q := range zrow {
-			var acc complex128
-			idx := j0 + q
-			for k := 0; k < n; k++ {
-				wv := wd[idx]
-				idx += m
-				acc += complex(real(lrow[k])*real(wv), real(lrow[k])*imag(wv))
-			}
-			zrow[q] = acc
-		}
-	}
+	return kt
 }
 
-// colorPanelCmplx is the generic complex kernel, with the per-entry real
-// shortcut kept for matrices that are only partially complex.
-func colorPanelCmplx(ld, wd, zd []complex128, n, m, j0, j1 int) {
-	for i := 0; i < n; i++ {
-		zrow := zd[i*m+j0 : i*m+j1 : i*m+j1]
-		for q := range zrow {
-			zrow[q] = 0
-		}
-		lrow := ld[i*n : (i+1)*n]
-		for k, lv := range lrow {
-			if lv == 0 {
-				continue
-			}
-			wrow := wd[k*m+j0 : k*m+j1 : k*m+j1]
-			if imag(lv) == 0 {
-				lr := real(lv)
-				for q, wv := range wrow {
-					zrow[q] += complex(lr*real(wv), lr*imag(wv))
-				}
-				continue
-			}
-			for q, wv := range wrow {
-				zrow[q] += lv * wv
-			}
-		}
-	}
+// mulRounded is the complex product a·b with each real product rounded on
+// its own, as Go's complex multiplication does when no fused multiply-add is
+// available: (ar·br − ai·bi) + (ar·bi + ai·br)i. The explicit conversions
+// keep the compiler from fusing on targets that have FMA.
+func mulRounded(a, b complex128) complex128 {
+	ar, ai, br, bi := real(a), imag(a), real(b), imag(b)
+	return complex(float64(ar*br)-float64(ai*bi), float64(ar*bi)+float64(ai*br))
 }

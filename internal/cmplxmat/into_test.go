@@ -2,6 +2,7 @@ package cmplxmat
 
 import (
 	"errors"
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -122,37 +123,125 @@ func TestColorBlockMatchesColumnwiseMulVec(t *testing.T) {
 	}
 }
 
-func TestColorBlockRealColoringFastPath(t *testing.T) {
-	// Purely real coloring entries take specialized two-multiply kernels that
-	// must stay bit-identical to the generic complex kernel (same operations
-	// accumulated in the same order).
-	rng := rand.New(rand.NewSource(23))
-	for _, dims := range []struct{ n, m int }{{6, 64}, {6, 200}} { // narrow and wide kernels
-		n, m := dims.n, dims.m
-		lc := New(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				lc.Set(i, j, complex(rng.NormFloat64(), 0))
+// colorBlockRef is the reference ColorBlock: the naive triple loop with one
+// ascending-k chain per entry, zero entries of L skipped, real entries
+// applied as two real multiplies and complex ones as the full product, every
+// product rounded on its own.
+func colorBlockRef(l, w *Matrix) *Matrix {
+	n, m := l.rows, w.cols
+	z := New(n, m)
+	for i := 0; i < n; i++ {
+		for col := 0; col < m; col++ {
+			var acc complex128
+			for k := 0; k < n; k++ {
+				lv, wv := l.data[i*n+k], w.data[k*m+col]
+				switch {
+				case lv == 0:
+				case imag(lv) == 0:
+					acc += complex(float64(real(lv)*real(wv)), float64(real(lv)*imag(wv)))
+				default:
+					acc += complex(float64(real(lv)*real(wv))-float64(imag(lv)*imag(wv)),
+						float64(real(lv)*imag(wv))+float64(imag(lv)*real(wv)))
+				}
+			}
+			z.data[i*m+col] = acc
+		}
+	}
+	return z
+}
+
+// coloringOfKind returns a random n×n coloring matrix: "real" (real entries
+// only), "complex" (every entry complex), "partial" (real, complex and zero
+// entries mixed) or "zeros" (complex, lower-triangular, with a zero row).
+func coloringOfKind(rng *rand.Rand, kind string, n int) *Matrix {
+	l := randomMatrix(rng, n, n)
+	for i := 0; i < n; i++ {
+		for k := 0; k < n; k++ {
+			v := l.data[i*n+k]
+			switch {
+			case kind == "real":
+				v = complex(real(v), 0)
+			case kind == "partial" && (i+2*k)%3 == 0:
+				v = complex(real(v), 0)
+			case kind == "partial" && (i+2*k)%3 == 1:
+				v = 0
+			case kind == "zeros" && (k > i || i == n/2):
+				v = 0
+			}
+			l.data[i*n+k] = v
+		}
+	}
+	return l
+}
+
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}
+
+// TestColorBlockMatchesReference checks the packed, register-tiled kernels
+// bit for bit against colorBlockRef across every row-tile remainder, panel
+// widths below, at and above the pack buffer's column count, k-blocked
+// panels (n > colorPackK) and all four kinds of coloring. Each (n, m) pair
+// runs one kind, rotating so every kind meets every m; the tall case runs
+// all four.
+func TestColorBlockMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	kinds := []string{"real", "complex", "partial", "zeros"}
+	type dims struct{ n, m int }
+	var cases []dims
+	for n := 1; n <= 65; n++ {
+		for _, m := range []int{1, 2, 31, 128, 129, 1000, 4096} {
+			cases = append(cases, dims{n, m})
+		}
+	}
+	// A panel taller than colorPackK: every kind resumes its chains.
+	for range kinds {
+		cases = append(cases, dims{colorPackK + 5, 40})
+	}
+	for ci, d := range cases {
+		kind := kinds[ci%len(kinds)]
+		l := coloringOfKind(rng, kind, d.n)
+		w := randomMatrix(rng, d.n, d.m)
+		z := New(d.n, d.m)
+		if err := ColorBlock(l, w, z); err != nil {
+			t.Fatalf("ColorBlock(%d,%d): %v", d.n, d.m, err)
+		}
+		want := colorBlockRef(l, w)
+		for i, v := range z.data {
+			if !sameBits(v, want.data[i]) {
+				t.Fatalf("%s n=%d m=%d entry (%d,%d): %v, reference %v", kind, d.n, d.m, i/d.m, i%d.m, v, want.data[i])
 			}
 		}
+	}
+}
+
+func TestColorBlockRealColoringFastPath(t *testing.T) {
+	// A purely real coloring takes the two-multiply kernel, which must stay
+	// bit-identical to the reference's per-entry arithmetic. The same
+	// matrix with one entry made complex takes the complex kernel and must
+	// agree on every row that entry does not touch.
+	rng := rand.New(rand.NewSource(23))
+	for _, dims := range []struct{ n, m int }{{6, 64}, {6, 200}} {
+		n, m := dims.n, dims.m
+		lc := coloringOfKind(rng, "real", n)
 		w := randomMatrix(rng, n, m)
 		z := New(n, m)
 		if err := ColorBlock(lc, w, z); err != nil {
 			t.Fatalf("ColorBlock: %v", err)
 		}
-		want := New(n, m)
-		for j0 := 0; j0 < m; j0 += colorBlockCols {
-			j1 := j0 + colorBlockCols
-			if j1 > m {
-				j1 = m
-			}
-			colorPanelCmplx(lc.data, w.data, want.data, n, m, j0, j1)
+		want := colorBlockRef(lc, w)
+		lc.data[0] = complex(real(lc.data[0]), 1)
+		zc := New(n, m)
+		if err := ColorBlock(lc, w, zc); err != nil {
+			t.Fatalf("ColorBlock: %v", err)
 		}
-		for col := 0; col < m; col++ {
-			for i := 0; i < n; i++ {
-				if z.At(i, col) != want.At(i, col) {
-					t.Fatalf("n=%d m=%d entry (%d,%d): %v vs %v", n, m, i, col, z.At(i, col), want.At(i, col))
-				}
+		for i, v := range z.data {
+			if !sameBits(v, want.data[i]) {
+				t.Fatalf("n=%d m=%d entry (%d,%d): %v vs %v", n, m, i/m, i%m, v, want.data[i])
+			}
+			if i >= m && !sameBits(zc.data[i], v) {
+				t.Fatalf("n=%d m=%d entry (%d,%d): complex kernel %v, real kernel %v", n, m, i/m, i%m, zc.data[i], v)
 			}
 		}
 	}
@@ -200,5 +289,24 @@ func TestIntoKernelsDoNotAllocate(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("ColorBlock allocates %v per run", n)
+	}
+}
+
+// TestColorBlockWideDoesNotAllocate covers the packed path: many panels,
+// row tiles plus a leftover row, real and complex colorings. The pack buffer
+// must stay on the stack.
+func TestColorBlockWideDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	w := randomMatrix(rng, 17, 4096)
+	z := New(17, 4096)
+	for _, kind := range []string{"real", "complex"} {
+		l := coloringOfKind(rng, kind, 17)
+		if n := testing.AllocsPerRun(5, func() {
+			if err := ColorBlock(l, w, z); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s ColorBlock 17x4096 allocates %v per run", kind, n)
+		}
 	}
 }

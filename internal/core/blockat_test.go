@@ -132,6 +132,36 @@ func TestGenerateBlockAtNoAllocs(t *testing.T) {
 	}
 }
 
+// TestGenerateBlockAtNoAllocsWide extends the steady-state allocation check
+// to wide real-time blocks, where ColorBlock packs panels and tiles rows and
+// BlockInto runs the bit-reversed IDFT path.
+func TestGenerateBlockAtNoAllocsWide(t *testing.T) {
+	for _, name := range []string{"n16-m4096-real", "n17-m512-complex", "n3-m512-segments"} {
+		var c goldenConfig
+		for _, gc := range goldenConfigs {
+			if gc.name == name {
+				c = gc
+			}
+		}
+		gen := newGoldenGenerator(t, c)
+		s, err := gen.NewBlockScratch()
+		if err != nil {
+			t.Fatalf("%s: NewBlockScratch: %v", name, err)
+		}
+		b := NewBlock(c.n, c.m)
+		var i uint64
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := gen.GenerateBlockAt(i%6, b, s); err != nil {
+				t.Fatalf("%s: GenerateBlockAt: %v", name, err)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: GenerateBlockAt allocated %.1f times per block, want 0", name, allocs)
+		}
+	}
+}
+
 // blockMismatchCount counts value positions where two blocks differ bitwise.
 func blockMismatchCount(a, b *Block) int {
 	n := 0

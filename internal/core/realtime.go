@@ -125,28 +125,31 @@ func (b *Block) ensureShape(n, m int) {
 }
 
 // rtSegment is one leg of the (possibly trivial) Doppler trajectory: the
-// block range it covers, its N Doppler generators, and the coloring matrix
-// rescaled to its Eq. (19) output variance. A stationary generator has
-// exactly one segment starting at block 0.
+// block range it covers, its Doppler generator, and the coloring matrix
+// rescaled to its Eq. (19) output variance. All N envelopes share one filter
+// design, so one generator serves every row: BlockInto reads only
+// construction-time state (plus, for Bluestein M, plan scratch that the
+// rows use one after another). A stationary generator has exactly one
+// segment starting at block 0.
 type rtSegment struct {
 	start    uint64 // first block index covered
 	spec     doppler.FilterSpec
-	gens     []*doppler.Generator
+	gen      *doppler.Generator
 	coloring *cmplxmat.Matrix // L/σ_g of this segment
 	sigmaG2  float64
 }
 
 // BlockScratch is the per-worker workspace of the parallel block fan-out and
 // of random-access block generation: the N×M input and output panels of the
-// coloring GEMM, the worker's Doppler generators (one set per trajectory
-// segment), and a reusable set of per-envelope RNGs reseeded for every
-// block. For power-of-two M the generators are the generator-shared sets
-// (read-only after construction, so concurrent BlockInto calls are safe);
-// for other lengths each worker gets private generators because the
-// Bluestein IDFT plan owns convolution scratch.
+// coloring GEMM, the worker's Doppler generator for each trajectory segment,
+// and a reusable set of per-envelope RNGs reseeded for every block. For
+// power-of-two M the generators are the segments' own (read-only after
+// construction, so concurrent BlockInto calls are safe); for other lengths
+// each worker gets a private copy because the Bluestein IDFT plan owns
+// convolution scratch.
 type BlockScratch struct {
 	w, z    *cmplxmat.Matrix
-	segGens [][]*doppler.Generator // indexed like RealTimeGenerator.segments
+	segGens []*doppler.Generator // indexed like RealTimeGenerator.segments
 	root    *randx.RNG
 	rngs    []*randx.RNG
 }
@@ -181,10 +184,11 @@ type RealTimeGenerator struct {
 	scratches []*BlockScratch  // cached worker workspaces (GenerateBlocksInto)
 }
 
-// NewRealTimeGenerator validates the configuration and builds the N Doppler
-// generators plus the coloring pipeline. The critical difference from the
-// method in [6] is step 6: the sample variance handed to the coloring step is
-// the Doppler-filter output variance of Eq. (19), not an assumed constant.
+// NewRealTimeGenerator validates the configuration and builds the Doppler
+// generator of each trajectory segment plus the coloring pipeline. The
+// critical difference from the method in [6] is step 6: the sample variance
+// handed to the coloring step is the Doppler-filter output variance of
+// Eq. (19), not an assumed constant.
 func NewRealTimeGenerator(cfg RealTimeConfig) (*RealTimeGenerator, error) {
 	if cfg.Covariance == nil {
 		return nil, fmt.Errorf("core: nil covariance matrix: %w", ErrBadInput)
@@ -219,26 +223,22 @@ func NewRealTimeGenerator(cfg RealTimeConfig) (*RealTimeGenerator, error) {
 		}
 	}
 
-	// Segment 0 first, with the RNG splits interleaved exactly as the
-	// stationary generator always made them (generator j, then split j), so
-	// stationary output is unchanged and segmented output shares its stream
-	// layout. Doppler generator construction consumes no randomness.
+	// The stream layout: one split per envelope, then the frozen batch
+	// root. Doppler generator construction consumes no randomness.
 	segments := make([]rtSegment, len(specs))
+	gen0, err := doppler.NewGenerator(specs[0], inputVar)
+	if err != nil {
+		return nil, fmt.Errorf("core: Doppler generator: %w", err)
+	}
 	root := randx.New(cfg.Seed)
 	rngs := make([]*randx.RNG, n)
-	gens0 := make([]*doppler.Generator, n)
-	for j := 0; j < n; j++ {
-		g, err := doppler.NewGenerator(specs[0], inputVar)
-		if err != nil {
-			return nil, fmt.Errorf("core: Doppler generator %d: %w", j, err)
-		}
-		gens0[j] = g
+	for j := range rngs {
 		rngs[j] = root.Split()
 	}
 
-	// Step 6 of the combined algorithm: σ²_g from Eq. (19), identical within
-	// a segment because its N generators share one filter and input variance.
-	sigmaG2 := gens0[0].OutputVariance()
+	// Step 6 of the combined algorithm: σ²_g from Eq. (19), identical for
+	// every envelope because they share one filter and input variance.
+	sigmaG2 := gen0.OutputVariance()
 	if cfg.AssumeUnitVariance {
 		sigmaG2 = 1
 	}
@@ -253,17 +253,13 @@ func NewRealTimeGenerator(cfg RealTimeConfig) (*RealTimeGenerator, error) {
 		return nil, err
 	}
 	batchRoot := root.Split()
-	segments[0] = rtSegment{start: starts[0], spec: specs[0], gens: gens0, coloring: snap.coloring, sigmaG2: sigmaG2}
+	segments[0] = rtSegment{start: starts[0], spec: specs[0], gen: gen0, coloring: snap.coloring, sigmaG2: sigmaG2}
 	for si := 1; si < len(specs); si++ {
-		gens := make([]*doppler.Generator, n)
-		for j := 0; j < n; j++ {
-			g, err := doppler.NewGenerator(specs[si], inputVar)
-			if err != nil {
-				return nil, fmt.Errorf("core: Doppler segment %d generator %d: %w", si, j, err)
-			}
-			gens[j] = g
+		gen, err := doppler.NewGenerator(specs[si], inputVar)
+		if err != nil {
+			return nil, fmt.Errorf("core: Doppler segment %d generator: %w", si, err)
 		}
-		segSigma := gens[0].OutputVariance()
+		segSigma := gen.OutputVariance()
 		if cfg.AssumeUnitVariance {
 			segSigma = 1
 		}
@@ -271,7 +267,7 @@ func NewRealTimeGenerator(cfg RealTimeConfig) (*RealTimeGenerator, error) {
 		if err != nil {
 			return nil, err
 		}
-		segments[si] = rtSegment{start: starts[si], spec: specs[si], gens: gens, coloring: coloring, sigmaG2: segSigma}
+		segments[si] = rtSegment{start: starts[si], spec: specs[si], gen: gen, coloring: coloring, sigmaG2: segSigma}
 	}
 
 	m := cfg.Filter.M
@@ -352,7 +348,7 @@ func (g *RealTimeGenerator) GenerateBlockInto(b *Block) error {
 	}
 	b.ensureShape(g.n, g.m)
 	seg := &g.segments[g.segmentIndexAt(g.seqNext)]
-	g.fillBlock(seg.gens, seg, g.rngs, g.w, g.z, b, g.seqNext)
+	g.fillBlock(seg.gen, seg, g.rngs, g.w, g.z, b, g.seqNext)
 	g.seqNext++
 	return nil
 }
@@ -366,10 +362,10 @@ func (g *RealTimeGenerator) GenerateBlockInto(b *Block) error {
 // transform its global sample offset.
 //
 // fadinglint:allocfree
-func (g *RealTimeGenerator) fillBlock(gens []*doppler.Generator, seg *rtSegment, rngs []*randx.RNG, w, z *cmplxmat.Matrix, b *Block, index uint64) {
+func (g *RealTimeGenerator) fillBlock(gen *doppler.Generator, seg *rtSegment, rngs []*randx.RNG, w, z *cmplxmat.Matrix, b *Block, index uint64) {
 	for j := 0; j < g.n; j++ {
 		// Row length equals the generator's M by construction.
-		_ = gens[j].BlockInto(rngs[j], w.RowView(j))
+		_ = gen.BlockInto(rngs[j], w.RowView(j))
 	}
 	// Dimensions are fixed at construction, so ColorBlock cannot fail.
 	_ = cmplxmat.ColorBlock(seg.coloring, w, z)
@@ -407,23 +403,19 @@ func (g *RealTimeGenerator) GenerateBlocks(count int) ([]*Block, error) {
 
 // NewBlockScratch builds a worker workspace for GenerateBlocksInto.
 func (g *RealTimeGenerator) NewBlockScratch() (*BlockScratch, error) {
-	segGens := make([][]*doppler.Generator, len(g.segments))
+	segGens := make([]*doppler.Generator, len(g.segments))
 	for si := range g.segments {
 		if g.m&(g.m-1) == 0 {
-			segGens[si] = g.segments[si].gens
+			segGens[si] = g.segments[si].gen
 			continue
 		}
-		// Non-power-of-two M: the Bluestein scratch inside each generator's
+		// Non-power-of-two M: the Bluestein scratch inside the generator's
 		// IDFT plan is not safe to share across workers.
-		gens := make([]*doppler.Generator, g.n)
-		for j := range gens {
-			dg, err := doppler.NewGenerator(g.segments[si].spec, g.inputVar)
-			if err != nil {
-				return nil, fmt.Errorf("core: Doppler generator %d: %w", j, err)
-			}
-			gens[j] = dg
+		dg, err := doppler.NewGenerator(g.segments[si].spec, g.inputVar)
+		if err != nil {
+			return nil, fmt.Errorf("core: Doppler segment %d generator: %w", si, err)
 		}
-		segGens[si] = gens
+		segGens[si] = dg
 	}
 	rngs := make([]*randx.RNG, g.n)
 	for j := range rngs {
@@ -511,7 +503,7 @@ func (g *RealTimeGenerator) GenerateBlocksInto(dst []*Block, workers int) error 
 			b.ensureShape(g.n, g.m)
 			idx := base + uint64(i)
 			seg := &g.segments[g.segmentIndexAt(idx)]
-			g.fillBlock(seg.gens, seg, blockRngs[i], g.w, g.z, b, idx)
+			g.fillBlock(seg.gen, seg, blockRngs[i], g.w, g.z, b, idx)
 		}
 		return nil
 	}

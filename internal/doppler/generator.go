@@ -21,6 +21,17 @@ type Generator struct {
 	coeffs     []float64
 	outputVar  float64
 	plan       *dsp.Plan
+	// bins lists, for power-of-two M, the nonzero filter coefficients in
+	// ascending k (the Gaussian draw order) with the bit-reversed slot
+	// each spectrum value is written to. It is nil for Bluestein M.
+	bins []inBandBin
+}
+
+// inBandBin is one nonzero Doppler filter coefficient F[k] and the slot of
+// X[k] in bit-reversed order.
+type inBandBin struct {
+	coeff float64
+	slot  int
 }
 
 // NewGenerator builds a Generator for the given filter spec and input
@@ -34,13 +45,23 @@ func NewGenerator(spec FilterSpec, sigmaOrig2 float64) (*Generator, error) {
 	if err != nil {
 		return nil, err
 	}
+	plan := dsp.NewPlan(spec.M)
+	var bins []inBandBin
+	if spec.M&(spec.M-1) == 0 {
+		for k, c := range coeffs {
+			if c != 0 {
+				bins = append(bins, inBandBin{coeff: c, slot: plan.BitReverse(k)})
+			}
+		}
+	}
 	return &Generator{
 		spec:       spec,
 		sigmaOrig2: sigmaOrig2,
 		sigmaOrig:  math.Sqrt(sigmaOrig2),
 		coeffs:     coeffs,
 		outputVar:  OutputVariance(coeffs, spec.M, sigmaOrig2),
-		plan:       dsp.NewPlan(spec.M),
+		plan:       plan,
+		bins:       bins,
 	}, nil
 }
 
@@ -74,6 +95,13 @@ func (g *Generator) Block(rng *randx.RNG) []complex128 {
 // call performs no heap allocation. The Gaussian draw order is identical to
 // Block.
 //
+// For power-of-two M only the in-band bins are drawn, and each value
+// U[k]·2^−log2(M) goes straight into its bit-reversed slot before the
+// plan's InverseBitReversed runs: the permutation pass, the 1/M pass and
+// the M-long branchy loop over zero coefficients are gone, and because
+// scaling by a power of two is exact the samples are bit-identical to
+// InverseScaled of the natural-order spectrum. Bluestein M keeps that path.
+//
 // The generator itself is read-only after construction; concurrent BlockInto
 // calls with distinct rng and dst are safe when M is a power of two (the
 // plan's Bluestein scratch for other lengths is shared).
@@ -83,6 +111,19 @@ func (g *Generator) BlockInto(rng *randx.RNG, dst []complex128) error {
 	m := g.spec.M
 	if len(dst) != m {
 		return fmt.Errorf("doppler: BlockInto destination length %d, want %d: %w", len(dst), m, ErrBadParameter)
+	}
+	if g.bins != nil {
+		clear(dst)
+		scale := 1 / float64(m)
+		for _, bin := range g.bins {
+			a := rng.Normal(0, g.sigmaOrig)
+			b := rng.Normal(0, g.sigmaOrig)
+			// U[k] = F[k]·A[k] − i·F[k]·B[k], scaled by 1/M.
+			c := bin.coeff
+			dst[bin.slot] = complex(c*a*scale, -c*b*scale)
+		}
+		g.plan.InverseBitReversed(dst)
+		return nil
 	}
 	for k := 0; k < m; k++ {
 		c := g.coeffs[k]
