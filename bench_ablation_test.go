@@ -2,7 +2,7 @@ package rayleigh
 
 // Ablation and application-workload benchmarks. These are not tied to a
 // specific table or figure of the paper (those live in bench_test.go); they
-// quantify the design choices DESIGN.md calls out and the downstream
+// quantify the implementation's design choices and the downstream
 // workloads the paper's introduction motivates (diversity receivers, OFDM,
 // MIMO arrays).
 

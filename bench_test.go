@@ -1,12 +1,11 @@
 package rayleigh
 
-// Benchmark harness: one benchmark per evaluation artifact of the paper (see
-// DESIGN.md §3 and EXPERIMENTS.md). Each benchmark regenerates the workload
-// behind the corresponding table/figure/claim and reports, through
-// b.ReportMetric, the reproduction metric that EXPERIMENTS.md records
-// (covariance errors, statistical deviations, Frobenius distances), so the
-// "shape" comparison against the paper is visible directly in the benchmark
-// output.
+// Benchmark harness: one benchmark per evaluation artifact of the paper.
+// Each benchmark regenerates the workload behind the corresponding
+// table/figure/claim and reports, through b.ReportMetric, the reproduction
+// metric the matching scenario under scenarios/ gates (covariance errors,
+// statistical deviations, Frobenius distances), so the "shape" comparison
+// against the paper is visible directly in the benchmark output.
 
 import (
 	"math"

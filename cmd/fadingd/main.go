@@ -4,8 +4,7 @@
 // vocabulary), receive a session ID, and stream blocks of correlated
 // Rayleigh envelopes as NDJSON or compact binary frames, resuming at any
 // block with ?from=k. The wire protocol, spec schema and capacity tuning are
-// documented in docs/service.md; a load generator lives in
-// cmd/fadingd/loadtest.
+// documented in docs/service.md; cmd/slorun drives it under load.
 //
 // Usage:
 //

@@ -208,14 +208,11 @@ func contains(xs []string, want string) bool {
 	return false
 }
 
-// ParsePlan decodes one plan from JSON. Decoding is strict, matching the
-// scenario loader: unknown fields are rejected so a typo fails loudly
-// instead of silently shrinking the corpus.
+// ParsePlan decodes one plan from JSON strictly (chanspec.DecodeStrict), so
+// a typo fails loudly instead of silently shrinking the corpus.
 func ParsePlan(data []byte) (*Plan, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var p Plan
-	if err := dec.Decode(&p); err != nil {
+	if err := chanspec.DecodeStrict(bytes.NewReader(data), &p); err != nil {
 		return nil, fmt.Errorf("corpus: %w: %w", ErrBadPlan, err)
 	}
 	if err := p.Validate(); err != nil {

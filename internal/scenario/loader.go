@@ -2,21 +2,20 @@ package scenario
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/chanspec"
 )
 
-// Parse decodes one spec from JSON. Unknown fields are rejected so a typo in
-// a tolerance name fails loudly instead of silently disabling a gate.
+// Parse decodes one spec from JSON strictly (chanspec.DecodeStrict), so a
+// typo in a tolerance name fails loudly instead of silently disabling a gate.
 func Parse(data []byte) (*Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := chanspec.DecodeStrict(bytes.NewReader(data), &s); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	if err := s.Validate(); err != nil {

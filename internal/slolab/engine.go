@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/chanspec"
 	"repro/internal/service"
 )
 
@@ -366,22 +367,9 @@ func fingerprint(spec *Spec) Fingerprint {
 	}
 }
 
-// sessionJSON renders the session template with a concrete seed.
-func (e *engine) sessionJSON(seed int64) []byte {
-	spec := e.spec.Session
-	spec.Seed = seed
-	data, err := json.Marshal(&spec)
-	if err != nil {
-		// A validated template cannot fail to encode.
-		panic(err)
-	}
-	return data
-}
-
-// poolJSON renders pool template i (cycling) with a concrete seed — the
-// spec_churn cold-create path when Fault.SpecFile supplies an external pool.
-func (e *engine) poolJSON(i int, seed int64) []byte {
-	spec := e.pool[i%len(e.pool)]
+// templateJSON renders a session template (the scenario's own, or an entry
+// of the spec_churn external pool) with a concrete seed.
+func templateJSON(spec service.SessionSpec, seed int64) []byte {
 	spec.Seed = seed
 	data, err := json.Marshal(&spec)
 	if err != nil {
@@ -400,10 +388,8 @@ func LoadSessionPool(path string) ([]service.SessionSpec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("slolab: session pool: %w", err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var pool []service.SessionSpec
-	if err := dec.Decode(&pool); err != nil {
+	if err := chanspec.DecodeStrict(bytes.NewReader(data), &pool); err != nil {
 		return nil, fmt.Errorf("slolab: session pool %s: %w", path, err)
 	}
 	if len(pool) == 0 {
@@ -517,7 +503,7 @@ func (e *engine) createSessions(acc *phaseAccum) error {
 		wg.Add(1)
 		go func(lc *labClient) {
 			defer wg.Done()
-			specJSON := e.sessionJSON(e.spec.Seed + int64(lc.idx))
+			specJSON := templateJSON(e.spec.Session, e.spec.Seed+int64(lc.idx))
 			t0 := time.Now()
 			info, stats, err := lc.client.Create(specJSON)
 			acc.create.Record(time.Since(t0))
@@ -545,7 +531,7 @@ func (e *engine) createSessions(acc *phaseAccum) error {
 func (e *engine) fireDoomedCreates(lc *labClient, acc *phaseAccum) {
 	for i := 0; i < e.spec.Fault.ExtraSessions; i++ {
 		seed := e.spec.Seed + 1<<20 + int64(lc.idx*e.spec.Fault.ExtraSessions+i)
-		info, rej, err := lc.client.TryCreate(e.sessionJSON(seed))
+		info, rej, err := lc.client.TryCreate(templateJSON(e.spec.Session, seed))
 		switch {
 		case err != nil:
 			acc.addError()
@@ -625,9 +611,9 @@ func (e *engine) runChurnPhase(name string, acc *phaseAccum) {
 				}
 				var specJSON []byte
 				if cold && len(e.pool) > 0 {
-					specJSON = e.poolJSON(lc.idx*units+i, seed)
+					specJSON = templateJSON(e.pool[(lc.idx*units+i)%len(e.pool)], seed)
 				} else {
-					specJSON = e.sessionJSON(seed)
+					specJSON = templateJSON(e.spec.Session, seed)
 				}
 				t0 := time.Now()
 				info, stats, err := cl.Create(specJSON)

@@ -67,8 +67,11 @@ func Evaluate(spec *Spec, sum *Summary) {
 }
 
 func evalGate(g *GateSpec, sum *Summary) GateResult {
-	if g.Type == GateScaling {
+	switch g.Type {
+	case GateScaling:
 		return evalScalingGate(g, sum)
+	case GateCacheSpeedup:
+		return evalCacheSpeedupGate(g, sum)
 	}
 	phase := g.Phase
 	if phase == "" {
@@ -190,6 +193,20 @@ func evalScalingGate(g *GateSpec, sum *Summary) GateResult {
 	if point.Replicas > 1 && !res.check("token_rebuilds", float64(point.TokenRebuilds), 1, ">=") {
 		res.Passed = false
 	}
+	return res
+}
+
+// evalCacheSpeedupGate divides the inject phase's cold create p50 by the
+// recover phase's warm create p50. A phase without create samples measures
+// a speedup of 0, so the gate fails instead of passing vacuously.
+func evalCacheSpeedupGate(g *GateSpec, sum *Summary) GateResult {
+	res := GateResult{Type: g.Type, Phase: PhaseInject, Metric: "create"}
+	speedup := 0.0
+	cold, warm := sum.Phases[PhaseInject], sum.Phases[PhaseRecover]
+	if cold != nil && warm != nil && warm.CreateLatency.P50Ms > 0 {
+		speedup = cold.CreateLatency.P50Ms / warm.CreateLatency.P50Ms
+	}
+	res.Passed = res.check("cold_over_warm_create_p50", speedup, g.MinSpeedup, ">=")
 	return res
 }
 

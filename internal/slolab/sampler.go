@@ -9,9 +9,8 @@ import (
 
 // Sampler is a concurrency-safe collector of latency samples in
 // milliseconds. Every measurement path of the lab — block inter-arrival
-// times, session-create round trips — funnels through one, and
-// cmd/fadingd/loadtest shares the same type so the loadtest and the SLO
-// harness report percentiles the same way.
+// times, session-create round trips — funnels through one, so every gate
+// reads percentiles digested the same way.
 type Sampler struct {
 	mu sync.Mutex
 	ms []float64
@@ -19,13 +18,8 @@ type Sampler struct {
 
 // Record adds one duration sample.
 func (s *Sampler) Record(d time.Duration) {
-	s.RecordMs(float64(d) / float64(time.Millisecond))
-}
-
-// RecordMs adds one sample already expressed in milliseconds.
-func (s *Sampler) RecordMs(ms float64) {
 	s.mu.Lock()
-	s.ms = append(s.ms, ms)
+	s.ms = append(s.ms, float64(d)/float64(time.Millisecond))
 	s.mu.Unlock()
 }
 
@@ -36,13 +30,6 @@ func (s *Sampler) Samples() []float64 {
 	out := make([]float64, len(s.ms))
 	copy(out, s.ms)
 	return out
-}
-
-// Len returns the sample count.
-func (s *Sampler) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.ms)
 }
 
 // Summary reduces the collected samples to the gate statistics.

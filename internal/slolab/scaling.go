@@ -132,7 +132,7 @@ func (e *engine) runScalingPoint(kr *token.Keyring, replicas int, acc *phaseAccu
 			Seed: e.spec.Seed + int64(c),
 		})
 		t0 := time.Now()
-		info, stats, err := clients[c].Create(e.sessionJSON(e.spec.Seed + int64(c)))
+		info, stats, err := clients[c].Create(templateJSON(e.spec.Session, e.spec.Seed+int64(c)))
 		acc.create.Record(time.Since(t0))
 		acc.addCreate(stats, err != nil)
 		if err != nil {

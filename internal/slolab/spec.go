@@ -28,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/chanspec"
 	"repro/internal/service"
 )
 
@@ -104,6 +105,10 @@ const (
 	// GateScaling floors the horizontal-scaling speedup of one replica count
 	// of a scaling sweep (blocks/s at replicas=R over blocks/s at replicas=1).
 	GateScaling = "scaling"
+	// GateCacheSpeedup floors the setup cache's effect on a spec_churn
+	// scenario: the inject phase's cold create-latency p50 over the recover
+	// phase's warm create-latency p50.
+	GateCacheSpeedup = "cache_speedup"
 )
 
 // Spec is one declarative SLO scenario.
@@ -290,7 +295,8 @@ type GateSpec struct {
 	// selects the largest measured replica count.
 	Replicas int `json:"replicas,omitempty"`
 	// MinSpeedup floors the scaling gate's speedup at the selected point
-	// (blocks/s relative to the replicas=1 point).
+	// (blocks/s relative to the replicas=1 point) and the cache_speedup
+	// gate's cold/warm create p50 ratio.
 	MinSpeedup float64 `json:"min_speedup,omitempty"`
 }
 
@@ -490,6 +496,16 @@ func (g *GateSpec) validate(s *Spec) error {
 			return fmt.Errorf("scaling gate reads replicas=%d, which the sweep does not measure: %w",
 				g.Replicas, ErrBadSpec)
 		}
+	case GateCacheSpeedup:
+		if f.Type != FaultSpecChurn || s.Phases.Recover.Units <= 0 {
+			return fmt.Errorf("cache_speedup gate needs the spec_churn fault and recover units (the warm reference): %w", ErrBadSpec)
+		}
+		if g.Phase != "" && g.Phase != PhaseInject {
+			return fmt.Errorf("cache_speedup gate reads the inject phase, not %q: %w", g.Phase, ErrBadSpec)
+		}
+		if g.MinSpeedup <= 0 {
+			return fmt.Errorf("cache_speedup gate needs min_speedup > 0: %w", ErrBadSpec)
+		}
 	case "":
 		return fmt.Errorf("gate has no type: %w", ErrBadSpec)
 	default:
@@ -528,13 +544,11 @@ func (s *Spec) HasTag(tag string) bool {
 	return false
 }
 
-// Parse decodes one spec from JSON. Unknown fields are rejected so a typo in
-// a threshold name fails loudly instead of silently disabling a gate.
+// Parse decodes one spec from JSON strictly (chanspec.DecodeStrict), so a
+// typo in a threshold name fails loudly instead of silently disabling a gate.
 func Parse(data []byte) (*Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := chanspec.DecodeStrict(bytes.NewReader(data), &s); err != nil {
 		return nil, fmt.Errorf("slolab: %w", err)
 	}
 	if err := s.Validate(); err != nil {

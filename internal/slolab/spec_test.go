@@ -32,6 +32,13 @@ func validSpec() *Spec {
 }
 
 func TestSpecValidate(t *testing.T) {
+	churn := func(g GateSpec, recoverUnits int) func(*Spec) {
+		return func(s *Spec) {
+			s.Fault = Fault{Type: FaultSpecChurn}
+			s.Phases.Recover.Units = recoverUnits
+			s.Gates = []GateSpec{g}
+		}
+	}
 	cases := []struct {
 		name   string
 		mutate func(*Spec)
@@ -88,6 +95,13 @@ func TestSpecValidate(t *testing.T) {
 			s.Server.MaxSessions = s.Clients
 			s.Gates = []GateSpec{{Type: GateRetryAfter, MinRejections: 1, MinCoverage: 0.9}}
 		}, true},
+		{"cache_speedup without spec_churn", func(s *Spec) {
+			s.Gates = []GateSpec{{Type: GateCacheSpeedup, MinSpeedup: 5}}
+		}, false},
+		{"cache_speedup without floor", churn(GateSpec{Type: GateCacheSpeedup}, 2), false},
+		{"cache_speedup on recover", churn(GateSpec{Type: GateCacheSpeedup, Phase: PhaseRecover, MinSpeedup: 5}, 2), false},
+		{"cache_speedup without recover", churn(GateSpec{Type: GateCacheSpeedup, MinSpeedup: 5}, 0), false},
+		{"cache_speedup", churn(GateSpec{Type: GateCacheSpeedup, Phase: PhaseInject, MinSpeedup: 5}, 2), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -189,5 +203,38 @@ func TestSummarize(t *testing.T) {
 	}
 	if z := Summarize(nil); z.Count != 0 {
 		t.Fatalf("Summarize(empty): got %+v", z)
+	}
+}
+
+// TestCacheSpeedupGate evaluates the cache_speedup gate on synthetic phase
+// metrics in both directions: a 6x cold/warm create p50 clears a 5x floor,
+// while a 1x ratio (a setup that costs nothing to miss) and a missing warm
+// reference fail it.
+func TestCacheSpeedupGate(t *testing.T) {
+	spec := validSpec()
+	spec.Fault = Fault{Type: FaultSpecChurn}
+	spec.Gates = []GateSpec{{Type: GateCacheSpeedup, MinSpeedup: 5}}
+	cases := []struct {
+		name              string
+		cold, warm, wantX float64 // warm 0: no recover phase recorded
+		wantPassed        bool
+	}{
+		{"6x passes", 6, 1, 6, true},
+		{"1x fails", 0.2, 0.2, 1, false},
+		{"no warm reference fails", 6, 0, 0, false},
+	}
+	for _, tc := range cases {
+		sum := &Summary{Phases: map[string]*PhaseMetrics{
+			PhaseInject: {CreateLatency: LatencySummary{Count: 40, P50Ms: tc.cold}},
+		}}
+		if tc.warm > 0 {
+			sum.Phases[PhaseRecover] = &PhaseMetrics{CreateLatency: LatencySummary{Count: 24, P50Ms: tc.warm}}
+		}
+		Evaluate(spec, sum)
+		g := sum.Gates[0]
+		if sum.Passed != tc.wantPassed || g.Skipped || g.Phase != PhaseInject ||
+			len(g.Checks) != 1 || g.Checks[0].Measured != tc.wantX || g.Checks[0].Bound != 5 {
+			t.Errorf("%s: passed %v, want %v; gate %+v", tc.name, sum.Passed, tc.wantPassed, g)
+		}
 	}
 }
