@@ -55,7 +55,7 @@ type FadingParams struct {
 	KFactor float64
 	// LOSPhaseRad is the phase of the Rician LOS component (default 0).
 	LOSPhaseRad float64
-	// M is the Nakagami shape parameter, m ≥ 0.5. Read by FadingNakagamiM;
+	// M is the Nakagami shape parameter, 0.5 ≤ m ≤ 1000. Read by FadingNakagamiM;
 	// m = 1 is exactly Rayleigh.
 	M float64
 	// ShadowSigmaDB is the Suzuki lognormal shadowing standard deviation in

@@ -50,6 +50,13 @@ type DopplerSegment struct {
 	NormalizedDoppler float64 `json:"normalized_doppler"`
 }
 
+// MaxNakagamiM bounds the Nakagami shape. The incomplete-gamma series needs
+// about √(69·m) terms near its median and is capped at 500, so beyond m ≈
+// 3600 the transform's quantile solve loses its digits (m = 1e20 gave NaN
+// envelopes); m = 1000 keeps a wide margin while covering every physical
+// use, where m rarely exceeds a few tens.
+const MaxNakagamiM = 1000
+
 // FadingParams carries the per-model parameters of Model.Params. Each fading
 // model reads only its own fields (documented per field); Canonical drops the
 // rest so equivalent specs hash identically. New exported fields must be
@@ -63,8 +70,8 @@ type FadingParams struct {
 	KFactor float64 `json:"k_factor,omitempty"`
 	// LOSPhaseRad is the phase of the Rician LOS component (default 0).
 	LOSPhaseRad float64 `json:"los_phase_rad,omitempty"`
-	// M is the Nakagami shape parameter, m ≥ 0.5. m = 1 degenerates to
-	// Rayleigh.
+	// M is the Nakagami shape parameter, 0.5 ≤ m ≤ MaxNakagamiM. m = 1
+	// degenerates to Rayleigh.
 	M float64 `json:"m,omitempty"`
 	// ShadowSigmaDB is the Suzuki lognormal shadowing standard deviation in
 	// dB, > 0.
@@ -117,7 +124,7 @@ func FadingModels() []FadingModelInfo {
 			Name:        FadingNakagamiM,
 			Title:       "Nakagami-m (gamma envelope transform)",
 			Envelope:    "Nakagami-m with shape params.m, mean power Ω preserved",
-			Params:      "m ≥ 0.5 (required); m = 1 is exactly Rayleigh",
+			Params:      "0.5 ≤ m ≤ 1000 (required); m = 1 is exactly Rayleigh",
 			Constraints: "all modes and methods; the probability-integral transform is applied per sample after coloring",
 			Notes:       "the transform is monotone in the envelope, so envelope rank correlation is preserved while the Gaussian covariance is no longer exactly achieved for m ≠ 1",
 		},
@@ -178,8 +185,8 @@ func ValidateFading(fading string, params *FadingParams) error {
 		if params == nil {
 			return fmt.Errorf("fading %q needs params.m: %w", FadingNakagamiM, ErrBadSpec)
 		}
-		if !(params.M >= 0.5) {
-			return fmt.Errorf("fading %q needs m >= 0.5, got %g: %w", FadingNakagamiM, params.M, ErrBadSpec)
+		if !(params.M >= 0.5 && params.M <= MaxNakagamiM) {
+			return fmt.Errorf("fading %q needs 0.5 <= m <= %g, got %g: %w", FadingNakagamiM, float64(MaxNakagamiM), params.M, ErrBadSpec)
 		}
 		return nil
 	case FadingSuzuki:

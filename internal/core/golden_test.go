@@ -140,22 +140,22 @@ var goldenHashes = map[string][]string{
 		"d5dc9263c4fc6b1049ad3b024d54453374e0c1d9980f015986e7cb3dc0675160",
 	},
 	"n16-m512-nakagami": {
-		"8388da3fd3c3e72b744e4b0e35703c09e3768fadbedab7205418bfbde9194912",
-		"24c009e576593b49c6f529d6414a856b5b236575c4cf50409688fd718e3cc4d7",
-		"dfa199c33c8aa2022c6cbd437c07afeaadde23f7b7dce07f05a4d859d2f6a4ef",
-		"5289f75b3bdc97cd993985815bf50496bae514cc42ff40c3da40c4018d7afcb3",
+		"bd0d9addbe63b7f2e68552f4195579cbb8b75f4d574a744eb9daa16225e0d98a",
+		"5d1ce7e918f651fb622af541a4ca39fe8d5fb108d1c3cdbdea8eeb0cd75aa05a",
+		"924912feda8909823e016d1ee2fd89d5c0daa6ee1757f047b90439fd614f57b7",
+		"0833e274109739b64617b0202e2ce504f61600c64406d4ea91109998b54304db",
 	},
 	"n17-m1024-suzuki": {
-		"bf7b768fb87e370b29d34dd3f4690776bb815c2cfeba1242d7601394e225c7d6",
-		"2763cbc8aee0fc0ef31d281c3ea07d953b41e526f5b11baa01f4d3e53f03dc1a",
-		"57b284af5126d668a93902ee8b47cbd813f2636de0a141fd824df775f79140a6",
-		"1e436e8714c926fcf5f6130999c9237e5ddd139c914b2e11539be69f8b5d342a",
+		"c96b28bb496497f04fd3a14a5763d518b380223a4109905036cf82147acf1fcc",
+		"e06fff7604ad70ba37a3701060016d354e5db23a5910fab092b93e8210891ab4",
+		"50f6cedc0472ce4412e79b42dfaf593df11e9a037df4ffe65ceff33c94f444b4",
+		"cb5e6a100f72173793241c75efd5b1d8934e4ed1ffc7f5024d01049cfa586a71",
 	},
 	"n3-m1000-suzuki": {
-		"52e1d3e90587da64d38025c3c965963a7b71575b63b9892c3e45004d84cfbc68",
-		"22946da3b43fe0d4ffbba8672cf559cb89bfe041357bd245036d0025fca16261",
-		"4232681e30d157b8150991c077535091fba18fcb565fdf4020faf3708d0b5552",
-		"44ba63989aa65006073624e1c2e145596c6c88d24699d09bd7c2647ef71a72ab",
+		"db1fa8577a0d6a2055db58d8383e268eca1dc1aa3e9ab85859f5ffb056129fae",
+		"7767e1edc15d334bb4bd63812b4392e46a04a1d9c2545c9bbde6baffdff49554",
+		"578d9cee2d11a5b21c4d1125b76083265ec09581ba4dd728fdcf67a8db434094",
+		"433a79a053dd2ec857a56c73694bcdd72fcc14e2baeee97c3312073d8839ba36",
 	},
 }
 

@@ -2,6 +2,7 @@ package fading
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"repro/internal/chanspec"
@@ -213,4 +214,179 @@ func TestSuzukiShadowContinuity(t *testing.T) {
 			t.Fatalf("shadowing jump at %d: gain %g -> %g", i, r[i-1], r[i])
 		}
 	}
+}
+
+// logSpaced returns n points spaced evenly in log10 over [lo, hi].
+func logSpaced(lo, hi float64, n int) []float64 {
+	out := make([]float64, n)
+	l0, l1 := math.Log10(lo), math.Log10(hi)
+	for i := range out {
+		out[i] = math.Pow(10, l0+(l1-l0)*float64(i)/float64(n-1))
+	}
+	return out
+}
+
+// nakagamiRow builds one envelope row whose normalized powers |z|²/Ω sweep
+// p2s, at a phase that walks around the circle.
+func nakagamiRow(p2s []float64, omega float64) []complex128 {
+	z := make([]complex128, len(p2s))
+	for i, p2 := range p2s {
+		rho, phi := math.Sqrt(p2*omega), 0.37*float64(i)
+		z[i] = complex(rho*math.Cos(phi), rho*math.Sin(phi))
+	}
+	return z
+}
+
+// TestNakagamiIdentityAtM1 pins the upper-tail fix: m = 1 is exactly
+// Rayleigh, so the transform must return every sample unchanged to 1e-12
+// relative across p2 ∈ [1e-300, 700] (the previous inverse drifted from
+// p2 ≈ 30 and clamped to a constant from p2 ≈ 38).
+func TestNakagamiIdentityAtM1(t *testing.T) {
+	const omega = 1.7
+	tr, err := New(chanspec.FadingNakagamiM, &chanspec.FadingParams{M: 1}, []float64{omega}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := nakagamiRow(logSpaced(1e-300, 700, 4001), omega)
+	orig := append([]complex128(nil), z...)
+	r := make([]float64, len(z))
+	tr.Apply(0, 0, z, r)
+	for i, v := range orig {
+		want := math.Hypot(real(v), imag(v))
+		if math.Abs(r[i]-want) > 1e-12*want || cmplx.Abs(z[i]-v) > 1e-12*want {
+			t.Fatalf("m=1 sample %d (p2 = %g) moved: %v -> %v (envelope %g, want %g)",
+				i, want*want/omega, v, z[i], r[i], want)
+		}
+	}
+}
+
+// TestNakagamiHalfShapeClosedForm checks m = 1/2, the one-sided Gaussian:
+// the normalized envelope w = r'·sqrt(m/Ω) satisfies erfc(w) = e^{−p2}. It is
+// checked as erf(w) = 1 − e^{−p2} below p2 = ln 2 and ln erfc(w) = −p2 above,
+// each to 1e-12 relative, over p2 ∈ [1e-15, 700].
+func TestNakagamiHalfShapeClosedForm(t *testing.T) {
+	const omega, m = 0.8, 0.5
+	tr, err := New(chanspec.FadingNakagamiM, &chanspec.FadingParams{M: m}, []float64{omega}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := nakagamiRow(logSpaced(1e-15, 700, 4001), omega)
+	p2s := make([]float64, len(z))
+	for i, v := range z {
+		p2s[i] = (real(v)*real(v) + imag(v)*imag(v)) / omega
+	}
+	r := make([]float64, len(z))
+	tr.Apply(0, 0, z, r)
+	for i, p2 := range p2s {
+		w := r[i] * math.Sqrt(m/omega)
+		if p2 < math.Ln2 {
+			if got, want := math.Erf(w), -math.Expm1(-p2); math.Abs(got-want) > 1e-12*want {
+				t.Fatalf("p2 = %g: erf(w) = %.17g, want %.17g", p2, got, want)
+			}
+		} else if got := math.Log(math.Erfc(w)); math.Abs(got+p2) > 1e-12*p2 {
+			t.Fatalf("p2 = %g: ln erfc(w) = %.17g, want %.17g", p2, got, -p2)
+		}
+	}
+}
+
+// TestMonotoneInEnvelope checks that at a fixed (envelope, offset) the
+// Nakagami-m and Suzuki output envelopes never decrease as the input
+// envelope grows, over a grid whose neighbours are 0.17% apart in p2. (At
+// the last-ulp scale both maps are monotone only up to round-off; see
+// FuzzTransform.)
+func TestMonotoneInEnvelope(t *testing.T) {
+	models := []struct {
+		model  string
+		params *chanspec.FadingParams
+	}{
+		{chanspec.FadingNakagamiM, &chanspec.FadingParams{M: 0.7}},
+		{chanspec.FadingNakagamiM, &chanspec.FadingParams{M: 2.5}},
+		{chanspec.FadingNakagamiM, &chanspec.FadingParams{M: 20}},
+		{chanspec.FadingNakagamiM, &chanspec.FadingParams{M: 1000}},
+		{chanspec.FadingSuzuki, &chanspec.FadingParams{ShadowSigmaDB: 8, ShadowCoherence: 16}},
+	}
+	p2s := logSpaced(1e-12, 800, 20001)
+	for _, c := range models {
+		tr, err := New(c.model, c.params, []float64{1.3, 0.4}, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for env := range 2 {
+			z := nakagamiRow(p2s, 1.3)
+			r := make([]float64, len(z))
+			for i := range z {
+				tr.Apply(env, 77, z[i:i+1], r[i:i+1])
+			}
+			for i := 1; i < len(r); i++ {
+				if r[i] < r[i-1] {
+					t.Fatalf("%s %+v env %d: envelope falls from %.17g to %.17g at p2 = %g",
+						c.model, *c.params, env, r[i-1], r[i], p2s[i])
+				}
+			}
+		}
+	}
+}
+
+func TestApplyAllocFree(t *testing.T) {
+	powers := []float64{1, 2}
+	for _, c := range []struct {
+		model  string
+		params *chanspec.FadingParams
+	}{
+		{chanspec.FadingRician, &chanspec.FadingParams{KFactor: 4}},
+		{chanspec.FadingNakagamiM, &chanspec.FadingParams{M: 2.5}},
+		{chanspec.FadingSuzuki, &chanspec.FadingParams{ShadowSigmaDB: 6}},
+	} {
+		tr, err := New(c.model, c.params, powers, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		z, r := drawGaussians(randx.New(2), 256, 2)
+		if n := testing.AllocsPerRun(20, func() { tr.Apply(1, 4096, z, r) }); n != 0 {
+			t.Errorf("%s: Apply allocates %g times per call", c.model, n)
+		}
+	}
+}
+
+// BenchmarkTransform reports each sample transform's cost per sample on a
+// 1024-sample Rayleigh row (the row is restored from a pristine copy every
+// iteration, 16 bytes a sample, so the fast transforms read slightly high),
+// and the construction cost of the Nakagami-m transform, whose quantile
+// table is built in New.
+func BenchmarkTransform(b *testing.B) {
+	const n = 1024
+	models := []struct {
+		model  string
+		params *chanspec.FadingParams
+	}{
+		{chanspec.FadingRician, &chanspec.FadingParams{KFactor: 4}},
+		{chanspec.FadingNakagamiM, &chanspec.FadingParams{M: 2.5}},
+		{chanspec.FadingSuzuki, &chanspec.FadingParams{ShadowSigmaDB: 6, ShadowCoherence: 64}},
+	}
+	pristine, _ := drawGaussians(randx.New(1), n, 1)
+	for _, c := range models {
+		tr, err := New(c.model, c.params, []float64{1}, 5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.model, func(b *testing.B) {
+			z, r := make([]complex128, n), make([]float64, n)
+			for i := 0; i < b.N; i++ {
+				copy(z, pristine)
+				tr.Apply(0, uint64(i)*n, z, r)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/sample")
+		})
+	}
+	b.Run("New/"+chanspec.FadingNakagamiM, func(b *testing.B) {
+		powers := make([]float64, 16)
+		for j := range powers {
+			powers[j] = 1
+		}
+		for i := 0; i < b.N; i++ {
+			if _, err := New(chanspec.FadingNakagamiM, &chanspec.FadingParams{M: 2.5}, powers, 5); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

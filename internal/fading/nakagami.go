@@ -9,23 +9,26 @@ import (
 // nakagami maps each Rayleigh envelope onto a Nakagami-m envelope of the same
 // mean power Ω_j through the exact probability-integral transform:
 //
-//	u  = 1 − exp(−|z_j|²/Ω_j)            (Rayleigh envelope CDF, uniform)
-//	G  = P⁻¹(m, u)                       (Gamma(m, 1) quantile)
+//	p2 = |z_j|²/Ω_j                      (Exp(1): the Rayleigh power)
+//	G  = Q⁻¹(m, e^{−p2})                 (Gamma(m, 1) with the same tail)
 //	r' = sqrt(G·Ω_j/m)                   (Nakagami-m envelope, E[r'²] = Ω_j)
 //	z' = z_j·(r'/|z_j|)                  (phase preserved)
 //
-// The map is monotone in the envelope, so the rank correlation structure of
-// the correlated Rayleigh field carries over; m = 1 is the identity up to
-// round-off.
+// G = P⁻¹(m, 1 − e^{−p2}) is the same map, but G is solved from
+// ln Q(m, G) = −p2, so 1 − e^{−p2} is never rounded toward 1. The quantile
+// map is tabulated once per m (stats.GammaExpQuantile), so a sample costs
+// one table lookup and one Halley step. The map is monotone in the envelope,
+// so the rank correlation structure of the correlated Rayleigh field carries
+// over; m = 1 is the identity up to round-off.
 type nakagami struct {
-	m          float64
+	quantile   *stats.GammaExpQuantile
 	invOmega   []float64 // 1/Ω_j
 	omegaOverM []float64 // Ω_j/m
 }
 
 func newNakagami(m float64, powers []float64) *nakagami {
 	t := &nakagami{
-		m:          m,
+		quantile:   stats.NewGammaExpQuantile(m),
 		invOmega:   make([]float64, len(powers)),
 		omegaOverM: make([]float64, len(powers)),
 	}
@@ -36,21 +39,23 @@ func newNakagami(m float64, powers []float64) *nakagami {
 	return t
 }
 
+// Apply transforms one envelope row in place.
+//
+// fadinglint:allocfree
 func (t *nakagami) Apply(env int, _ uint64, z []complex128, r []float64) {
 	invOmega := t.invOmega[env]
 	omegaOverM := t.omegaOverM[env]
 	for i, v := range z {
 		re, im := real(v), imag(v)
-		p2 := (re*re + im*im) * invOmega
-		if p2 == 0 {
+		pow := float64(re*re) + float64(im*im)
+		if pow == 0 {
 			z[i] = 0
 			r[i] = 0
 			continue
 		}
-		u := -math.Expm1(-p2) // 1 − exp(−p2), exact near 0
-		g := stats.InverseRegularizedGammaP(t.m, u)
+		g := t.quantile.At(pow * invOmega)
 		rn := math.Sqrt(g * omegaOverM)
-		sc := rn / math.Sqrt((re*re + im*im))
+		sc := rn / math.Sqrt(pow)
 		z[i] = complex(re*sc, im*sc)
 		r[i] = rn
 	}

@@ -5,7 +5,7 @@ import "math"
 // suzuki multiplies the Rayleigh fading line by correlated lognormal
 // shadowing:
 //
-//	z'_j(t) = z_j(t) · 10^{σ_dB·g_j(t)/20}
+//	z'_j(t) = z_j(t) · 10^{σ_dB·g_j(t)/20} = z_j(t) · e^{k·g_j(t)},  k = σ_dB·ln10/20
 //
 // g_j(t) is a unit-variance Gaussian process built from independent N(0,1)
 // knots placed every coherence samples on the global time axis and
@@ -16,13 +16,13 @@ import "math"
 // random access: block k carries the same shadowing whether reached by
 // streaming from 0 or by a direct GenerateBlockAt(k).
 type suzuki struct {
-	sigmaDB   float64
+	logGain   float64 // σ_dB·ln10/20: ln of the shadowing gain per unit of g
 	coherence uint64
 	seed      uint64
 }
 
 func newSuzuki(sigmaDB float64, coherence int, seed int64) *suzuki {
-	return &suzuki{sigmaDB: sigmaDB, coherence: uint64(coherence), seed: uint64(seed)}
+	return &suzuki{logGain: sigmaDB * math.Ln10 / 20, coherence: uint64(coherence), seed: uint64(seed)}
 }
 
 // mix64 is the splitmix64 output permutation (additive constant included):
@@ -44,6 +44,9 @@ func (t *suzuki) knot(env int, i uint64) float64 {
 	return math.Sqrt(-2*math.Log(1-u1)) * math.Cos(2*math.Pi*u2)
 }
 
+// Apply shadows one envelope row in place.
+//
+// fadinglint:allocfree
 func (t *suzuki) Apply(env int, offset uint64, z []complex128, r []float64) {
 	c := t.coherence
 	lastKnot := ^uint64(0)
@@ -58,10 +61,10 @@ func (t *suzuki) Apply(env int, offset uint64, z []complex128, r []float64) {
 		w := float64(ti-k*c) / float64(c)
 		// Variance-preserving interpolation: the weights are normalized so
 		// g remains marginally N(0, 1) between knots, not just at them.
-		g := ((1-w)*a + w*b) / math.Sqrt((1-w)*(1-w)+w*w)
-		l := math.Pow(10, t.sigmaDB*g/20)
+		g := (float64((1-w)*a) + float64(w*b)) / math.Sqrt(float64((1-w)*(1-w))+float64(w*w))
+		l := math.Exp(t.logGain * g)
 		re, im := real(z[i])*l, imag(z[i])*l
 		z[i] = complex(re, im)
-		r[i] = math.Sqrt(re*re + im*im)
+		r[i] = math.Sqrt(float64(re*re) + float64(im*im))
 	}
 }

@@ -5,8 +5,10 @@ package service_test
 
 import (
 	"bytes"
+	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/base64"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -266,6 +268,22 @@ func TestTokenFailurePaths(t *testing.T) {
 	tampered := append([]byte(nil), payload...)
 	tampered[len(tampered)-1] ^= 1
 	tamperedTok := parts[0] + "." + parts[1] + "." + base64.RawURLEncoding.EncodeToString(tampered) + "." + parts[3]
+	// What a replica from before the stream-version bump minted for the same
+	// session: the version-1 payload, correctly signed under the shared key
+	// (the MAC layout of docs/cluster.md: header, NUL, key id, NUL, payload).
+	oldVersion := func() string {
+		p := append([]byte(nil), payload...)
+		p[0] = 1
+		secret, err := hex.DecodeString(strings.TrimPrefix(clusterKey, "k1:"))
+		if err != nil {
+			t.Fatalf("decode key: %v", err)
+		}
+		mac := hmac.New(sha256.New, secret)
+		mac.Write([]byte(parts[0] + "\x00" + parts[1] + "\x00"))
+		mac.Write(p)
+		enc := base64.RawURLEncoding
+		return parts[0] + "." + parts[1] + "." + enc.EncodeToString(p) + "." + enc.EncodeToString(mac.Sum(nil))
+	}()
 
 	foreignRing, err := token.ParseKeyring(foreignKey)
 	if err != nil {
@@ -296,7 +314,7 @@ func TestTokenFailurePaths(t *testing.T) {
 		{"flipped signature", info.ID, info.Token[:len(info.Token)-2] + "xx", http.StatusUnauthorized, "token_invalid"},
 		{"unknown key id", info.ID, foreignTok, http.StatusUnauthorized, "token_unknown_key"},
 		{"tampered spec payload", info.ID, tamperedTok, http.StatusUnauthorized, "token_invalid"},
-		{"version skew", info.ID, "fdt2." + strings.TrimPrefix(info.Token, "fdt1."), http.StatusBadRequest, "token_version"},
+		{"version skew", info.ID, oldVersion, http.StatusBadRequest, "token_version"},
 		{"replayed under foreign id", "deadbeef00000000", info.Token, http.StatusUnauthorized, "token_invalid"},
 		{"fields disagree with spec", info.ID, disagreeing, http.StatusUnauthorized, "token_invalid"},
 		{"embedded spec invalid", info.ID, badSpec, http.StatusBadRequest, "bad_spec"},
@@ -316,6 +334,24 @@ func TestTokenFailurePaths(t *testing.T) {
 	status, _, env := streamWith(t, keyless.URL, info.ID, "?format=bin", info.Token, "bearer")
 	if status != http.StatusUnauthorized || env.Code != "token_invalid" {
 		t.Fatalf("keyless replica: status %d code %q, want 401 token_invalid", status, env.Code)
+	}
+}
+
+// TestTokenVersion1Refused replays the version-1 golden token of
+// internal/token against a replica holding its key: the signature verifies,
+// but the token predates the stream-version bump, so the replica must refuse
+// it with 400 token_version rather than rebuild different bytes under it.
+func TestTokenVersion1Refused(t *testing.T) {
+	const (
+		ring = "k2026:000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
+		v1   = "fdt1.k2026.ARAwMTIzNDU2Nzg5YWJjZGVmio0XqEjDNFWV1-SqCNN8CmG6xE0LoVC_tAIoTEk8HvcqAAAAAAAAABAAAAAAAAAAgDuxagAAAAAvAAAAeyJtb2RlbCI6eyJ0eXBlIjoiZXEyMiJ9LCJzZWVkIjo0MiwiYmxvY2tzIjoxNn0.8LMW2tOFtm7NndiR5NFnmET3R5Hjt8unHiCqwumSFF0"
+	)
+	replica := newReplica(t, ring, service.Config{Workers: 1})
+	for _, carry := range []string{"bearer", "query"} {
+		status, _, env := streamWith(t, replica.URL, "0123456789abcdef", "?format=bin", v1, carry)
+		if status != http.StatusBadRequest || env.Code != "token_version" {
+			t.Fatalf("%s: status %d code %q (%s), want 400 token_version", carry, status, env.Code, env.Error)
+		}
 	}
 }
 

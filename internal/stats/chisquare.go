@@ -103,6 +103,20 @@ func regularizedGammaQ(a, x float64) float64 {
 // lowerGammaSeries evaluates P(a, x) by its power series.
 func lowerGammaSeries(a, x float64) float64 {
 	lgA, _ := math.Lgamma(a)
+	return gammaSeries(a, x) * math.Exp(-x+float64(a*math.Log(x))-lgA)
+}
+
+// upperGammaCF evaluates Q(a, x) by the Lentz continued fraction.
+func upperGammaCF(a, x float64) float64 {
+	lgA, _ := math.Lgamma(a)
+	return math.Exp(-x+float64(a*math.Log(x))-lgA) * gammaCF(a, x)
+}
+
+// gammaSeries returns S with P(a, x) = S·x^a·e^{−x}/Γ(a): the power series
+// Σ x^k/(a(a+1)…(a+k)). It converges for every x; near x ≈ a the terms
+// fall off like e^{−k²/2a}, so 1e-15 takes about √(69·a) of them, and the
+// 500-term cap covers a ≤ 1000 (callers use it for x < a+1).
+func gammaSeries(a, x float64) float64 {
 	ap := a
 	sum := 1 / a
 	del := sum
@@ -114,12 +128,12 @@ func lowerGammaSeries(a, x float64) float64 {
 			break
 		}
 	}
-	return sum * math.Exp(-x+a*math.Log(x)-lgA)
+	return sum
 }
 
-// upperGammaCF evaluates Q(a, x) by the Lentz continued fraction.
-func upperGammaCF(a, x float64) float64 {
-	lgA, _ := math.Lgamma(a)
+// gammaCF returns C with Q(a, x) = C·x^a·e^{−x}/Γ(a), by the Lentz
+// continued fraction; callers use it for x ≥ a+1, where it converges fast.
+func gammaCF(a, x float64) float64 {
 	const tiny = 1e-300
 	b := x + 1 - a
 	c := 1 / tiny
@@ -128,7 +142,7 @@ func upperGammaCF(a, x float64) float64 {
 	for i := 1; i <= 500; i++ {
 		an := -float64(i) * (float64(i) - a)
 		b += 2
-		d = an*d + b
+		d = float64(an*d) + b
 		if math.Abs(d) < tiny {
 			d = tiny
 		}
@@ -143,7 +157,7 @@ func upperGammaCF(a, x float64) float64 {
 			break
 		}
 	}
-	return math.Exp(-x+a*math.Log(x)-lgA) * h
+	return h
 }
 
 // CorrelationCoefficient estimates the complex correlation coefficient

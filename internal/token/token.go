@@ -18,7 +18,7 @@
 // bytes, so neither can be swapped without invalidating the signature.
 // Payload layout (little-endian, strict — trailing bytes are rejected):
 //
-//	[0]     version (0x01)
+//	[0]     version (0x02)
 //	[1]     id length (uint8)
 //	[2:...] session id (ASCII)
 //	[+32]   SHA-256 of the canonical spec
@@ -53,8 +53,8 @@ var (
 	// internal inconsistency such as a spec hash that does not match the
 	// embedded spec.
 	ErrMalformed = errors.New("token: malformed token")
-	// ErrVersion reports a token minted under a format version this build
-	// does not speak.
+	// ErrVersion reports a token minted under a format or stream version
+	// this build does not speak.
 	ErrVersion = errors.New("token: unsupported token version")
 	// ErrUnknownKey reports a key id absent from the verifying keyring.
 	ErrUnknownKey = errors.New("token: unknown key id")
@@ -69,8 +69,18 @@ var (
 
 const (
 	// header names the token format and version on the wire.
-	header  = "fdt1"
-	version = 1
+	header = "fdt1"
+	// version is the payload version byte, and with it the stream version:
+	// a token promises that its spec reconstructs the same bytes on every
+	// replica, so bump it whenever the bytes a spec reconstructs change (a
+	// transform, kernel or RNG-order change), not only when the payload
+	// layout does. A replica refuses other versions with ErrVersion, so a
+	// token minted before such a change can never resume into different
+	// bytes.
+	//
+	// Version history: 1 — the original layout; 2 — the Nakagami-m and
+	// Suzuki transforms changed their output bytes.
+	version = 2
 
 	// MinSecretLen is the smallest accepted HMAC secret, in bytes.
 	MinSecretLen = 16

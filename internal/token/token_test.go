@@ -31,19 +31,25 @@ func testToken(spec string) *Token {
 }
 
 // The golden vectors pin the wire format. If either fails after a code
-// change, the format changed: bump the version header, do not regenerate.
+// change, the format changed: bump the version, do not regenerate. Each case
+// also keeps the token the previous version minted for the same tuple, which
+// this build must refuse with ErrVersion: version 1 tokens reconstruct the
+// pre-version-2 Nakagami-m and Suzuki bytes, which this build no longer
+// produces.
 func TestGoldenVectors(t *testing.T) {
 	cases := []struct {
 		name string
 		ring string
 		tok  *Token
 		want string
+		v1   string
 	}{
 		{
 			name: "two-key ring, expiry set",
 			ring: "k2026:000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f,old:ffeeddccbbaa99887766554433221100ffeeddccbbaa9988",
 			tok:  testToken(`{"model":{"type":"eq22"},"seed":42,"blocks":16}`),
-			want: "fdt1.k2026.ARAwMTIzNDU2Nzg5YWJjZGVmio0XqEjDNFWV1-SqCNN8CmG6xE0LoVC_tAIoTEk8HvcqAAAAAAAAABAAAAAAAAAAgDuxagAAAAAvAAAAeyJtb2RlbCI6eyJ0eXBlIjoiZXEyMiJ9LCJzZWVkIjo0MiwiYmxvY2tzIjoxNn0.8LMW2tOFtm7NndiR5NFnmET3R5Hjt8unHiCqwumSFF0",
+			want: "fdt1.k2026.AhAwMTIzNDU2Nzg5YWJjZGVmio0XqEjDNFWV1-SqCNN8CmG6xE0LoVC_tAIoTEk8HvcqAAAAAAAAABAAAAAAAAAAgDuxagAAAAAvAAAAeyJtb2RlbCI6eyJ0eXBlIjoiZXEyMiJ9LCJzZWVkIjo0MiwiYmxvY2tzIjoxNn0.ccGdshj4ccEmIWp3laZ3RlEbWuIVWbUdEsOdXF9RViY",
+			v1:   "fdt1.k2026.ARAwMTIzNDU2Nzg5YWJjZGVmio0XqEjDNFWV1-SqCNN8CmG6xE0LoVC_tAIoTEk8HvcqAAAAAAAAABAAAAAAAAAAgDuxagAAAAAvAAAAeyJtb2RlbCI6eyJ0eXBlIjoiZXEyMiJ9LCJzZWVkIjo0MiwiYmxvY2tzIjoxNn0.8LMW2tOFtm7NndiR5NFnmET3R5Hjt8unHiCqwumSFF0",
 		},
 		{
 			name: "single key, no expiry, negative seed",
@@ -54,7 +60,8 @@ func TestGoldenVectors(t *testing.T) {
 				Spec:     []byte(`{}`),
 				Seed:     -1,
 			},
-			want: "fdt1.solo.AQFhRBNvo1WzZ4oRRq0W9-hknpT7T8If536DEMBg9hyq_4r__________wAAAAAAAAAAAAAAAAAAAAACAAAAe30.ZQwUFctScD711HVzEOBmGE-1YTZihQqf7EqJohVnPaU",
+			want: "fdt1.solo.AgFhRBNvo1WzZ4oRRq0W9-hknpT7T8If536DEMBg9hyq_4r__________wAAAAAAAAAAAAAAAAAAAAACAAAAe30.TWEUK9MXq1XP2HBdsE839KJpACpYK6CXBfXxIvJk6F0",
+			v1:   "fdt1.solo.AQFhRBNvo1WzZ4oRRq0W9-hknpT7T8If536DEMBg9hyq_4r__________wAAAAAAAAAAAAAAAAAAAAACAAAAe30.ZQwUFctScD711HVzEOBmGE-1YTZihQqf7EqJohVnPaU",
 		},
 	}
 	for _, tc := range cases {
@@ -75,6 +82,9 @@ func TestGoldenVectors(t *testing.T) {
 				back.Expiry != tc.tok.Expiry || string(back.Spec) != string(tc.tok.Spec) ||
 				back.SpecHash != tc.tok.SpecHash {
 				t.Fatalf("round trip mismatch: got %+v want %+v", back, tc.tok)
+			}
+			if _, err := kr.Verify(tc.v1, time.Unix(1700000000, 0)); !errors.Is(err, ErrVersion) {
+				t.Fatalf("Verify(version 1 token) err = %v, want ErrVersion", err)
 			}
 		})
 	}
@@ -142,7 +152,7 @@ func TestVerifyFailures(t *testing.T) {
 		{"tampered payload", parts[0] + "." + parts[1] + "." + flipChar(parts[2]) + "." + parts[3], ErrBadSignature},
 		{"trailing payload bytes", resign(func(p []byte) []byte { return append(p, 0) }), ErrMalformed},
 		{"truncated payload", resign(func(p []byte) []byte { return p[:len(p)-1] }), ErrMalformed},
-		{"payload version byte skew", resign(func(p []byte) []byte { p[0] = 2; return p }), ErrVersion},
+		{"payload version byte skew", resign(func(p []byte) []byte { p[0] = 1; return p }), ErrVersion},
 		{"spec hash mismatch", resign(func(p []byte) []byte { p[2+16+3] ^= 1; return p }), ErrMalformed},
 		{"short payload", resign(func(p []byte) []byte { return p[:4] }), ErrMalformed},
 	}
