@@ -139,7 +139,7 @@ func benchmarkFig4(b *testing.B, k *cmplxmat.Matrix, seed int64) {
 	var worst float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blk := gen.GenerateBlock()
+		blk := realTimeBlock(b, gen, i)
 		cov, err := stats.SampleCovarianceFromSeries(blk.Gaussian)
 		if err != nil {
 			b.Fatal(err)
@@ -251,6 +251,20 @@ func BenchmarkNonPSDHandling(b *testing.B) {
 	b.ReportMetric(epsilonErr, "frobErr_baseline_epsClamp")
 }
 
+// realTimeBlock generates block i of gen into a fresh block.
+func realTimeBlock(b *testing.B, gen *core.RealTimeGenerator, i int) *core.Block {
+	b.Helper()
+	s, err := gen.NewBlockScratch()
+	if err != nil {
+		b.Fatal(err)
+	}
+	blk := core.NewBlock(gen.N(), gen.BlockLength())
+	if err := gen.GenerateBlockAt(uint64(i), blk, s); err != nil {
+		b.Fatal(err)
+	}
+	return blk
+}
+
 // BenchmarkDopplerVarianceEffect — experiment E7: real-time generation with
 // and without the Eq. (19) variance correction. The proposed method's
 // covariance error stays small; the unit-variance assumption of [6] misses
@@ -274,7 +288,7 @@ func BenchmarkDopplerVarianceEffect(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for name, gen := range map[string]*core.RealTimeGenerator{"proposed": proposed, "assumed": assumed} {
-			blk := gen.GenerateBlock()
+			blk := realTimeBlock(b, gen, i)
 			cov, err := stats.SampleCovarianceFromSeries(blk.Gaussian)
 			if err != nil {
 				b.Fatal(err)
@@ -400,8 +414,8 @@ func BenchmarkSnapshotGenerationThroughput(b *testing.B) {
 
 // BenchmarkRealTimeBlockThroughput measures the cost of one full real-time
 // block (M = 4096 samples per envelope) with the paper's Doppler parameters,
-// for both the allocating GenerateBlock path and the zero-allocation
-// GenerateBlockInto path at N = 3 and N = 16.
+// for both a fresh destination block per op and the zero-allocation reused
+// block at N = 3 and N = 16.
 func BenchmarkRealTimeBlockThroughput(b *testing.B) {
 	for _, cfg := range throughputCovariances() {
 		gen, err := core.NewRealTimeGenerator(core.RealTimeConfig{
@@ -413,10 +427,16 @@ func BenchmarkRealTimeBlockThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		scratch, err := gen.NewBlockScratch()
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = gen.GenerateBlock()
+				if err := gen.GenerateBlockAt(uint64(i), core.NewBlock(gen.N(), gen.BlockLength()), scratch); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 		b.Run(cfg.name+"/into", func(b *testing.B) {
@@ -424,7 +444,7 @@ func BenchmarkRealTimeBlockThroughput(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := gen.GenerateBlockInto(blk); err != nil {
+				if err := gen.GenerateBlockAt(uint64(i), blk, scratch); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -135,20 +135,25 @@ func realTimeBenchmarks(name string, k *cmplxmat.Matrix) []result {
 		}
 		return gen
 	}
-	genAlloc := newGen()
-	genInto := newGen()
-	samples := genAlloc.N() * genAlloc.BlockLength()
+	gen := newGen()
+	scratch, err := gen.NewBlockScratch()
+	if err != nil {
+		fatalf("real-time scratch %s: %v", name, err)
+	}
+	samples := gen.N() * gen.BlockLength()
 	return []result{
 		measure("RealTimeBlockThroughput/"+name, samples, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = genAlloc.GenerateBlock()
+				if err := gen.GenerateBlockAt(uint64(i), core.NewBlock(gen.N(), gen.BlockLength()), scratch); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}),
 		measure("RealTimeBlockThroughput/"+name+"/into", samples, func(b *testing.B) {
-			blk := core.NewBlock(genInto.N(), genInto.BlockLength())
+			blk := core.NewBlock(gen.N(), gen.BlockLength())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := genInto.GenerateBlockInto(blk); err != nil {
+				if err := gen.GenerateBlockAt(uint64(i), blk, scratch); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -247,13 +252,17 @@ func nonstationaryBenchmark(name string, k *cmplxmat.Matrix) []result {
 	if err != nil {
 		fatalf("nonstationary generator %s: %v", name, err)
 	}
+	scratch, err := gen.NewBlockScratch()
+	if err != nil {
+		fatalf("nonstationary scratch %s: %v", name, err)
+	}
 	samples := gen.N() * gen.BlockLength()
 	return []result{
 		measure("RealTimeBlockThroughput/"+name+"/nonstationary_doppler", samples, func(b *testing.B) {
 			blk := core.NewBlock(gen.N(), gen.BlockLength())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := gen.GenerateBlockInto(blk); err != nil {
+				if err := gen.GenerateBlockAt(uint64(i), blk, scratch); err != nil {
 					b.Fatal(err)
 				}
 			}

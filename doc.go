@@ -79,12 +79,13 @@
 //
 // Setting Config.Parallel / RealTimeConfig.Parallel fans SnapshotsInto
 // chunks and BlocksInto blocks across a worker pool. Every unit of work
-// draws from its own random stream, derived deterministically (and in work
-// order) from the seed before generation starts, so seeded output is
-// bit-identical for every worker count — parallelism changes wall-clock
-// time, never values. The batched streams are distinct from the streams
-// behind Snapshot/Block: a batched run reproduces other batched runs, not an
-// element-wise sequence of single-draw calls.
+// draws from its own random stream, a deterministic function of the seed
+// and the unit's position, so seeded output is bit-identical for every
+// worker count — parallelism changes wall-clock time, never values.
+// RealTime.Block, BlockInto and BlocksInto continue one block sequence,
+// the one Stream cursors index. The batched snapshot chunks are distinct
+// from the stream behind Snapshot: a SnapshotsInto run reproduces other
+// SnapshotsInto runs, not an element-wise sequence of Snapshot calls.
 //
 // Measured throughput and allocation figures live in BENCH_core.json at the
 // repository root (regenerate with "go run ./cmd/benchreport"); the

@@ -26,9 +26,23 @@ func newBlockAtGenerator(t testing.TB, m int, seed int64) *RealTimeGenerator {
 	return gen
 }
 
+// newScratches builds one block scratch per worker.
+func newScratches(t testing.TB, g *RealTimeGenerator, workers int) []*BlockScratch {
+	t.Helper()
+	scratches := make([]*BlockScratch, workers)
+	for i := range scratches {
+		s, err := g.NewBlockScratch()
+		if err != nil {
+			t.Fatalf("NewBlockScratch: %v", err)
+		}
+		scratches[i] = s
+	}
+	return scratches
+}
+
 // TestGenerateBlockAtMatchesBlocksInto pins the resume contract: block i of
-// the batched sequence is reproducible in isolation, for any worker count
-// and regardless of how the batched run was sliced into calls.
+// the sequence is reproducible in isolation, for any worker count and
+// regardless of how a fan-out run was sliced into calls.
 func TestGenerateBlockAtMatchesBlocksInto(t *testing.T) {
 	const blocks = 7
 	for _, workers := range []int{1, 3} {
@@ -37,12 +51,13 @@ func TestGenerateBlockAtMatchesBlocksInto(t *testing.T) {
 		for i := range dst {
 			dst[i] = NewBlock(batched.N(), batched.BlockLength())
 		}
-		// Two calls: the second must continue the sequence.
-		if err := batched.GenerateBlocksInto(dst[:3], workers); err != nil {
-			t.Fatalf("GenerateBlocksInto(first): %v", err)
+		// Two calls: the second continues the sequence at block 3.
+		scratches := newScratches(t, batched, workers)
+		if err := batched.GenerateBlocksAt(0, dst[:3], scratches); err != nil {
+			t.Fatalf("GenerateBlocksAt(first): %v", err)
 		}
-		if err := batched.GenerateBlocksInto(dst[3:], workers); err != nil {
-			t.Fatalf("GenerateBlocksInto(second): %v", err)
+		if err := batched.GenerateBlocksAt(3, dst[3:], scratches); err != nil {
+			t.Fatalf("GenerateBlocksAt(second): %v", err)
 		}
 
 		random := newBlockAtGenerator(t, 128, 42)
@@ -57,7 +72,7 @@ func TestGenerateBlockAtMatchesBlocksInto(t *testing.T) {
 				t.Fatalf("GenerateBlockAt(%d): %v", i, err)
 			}
 			if n := blockMismatchCount(dst[i], got); n != 0 {
-				t.Fatalf("workers=%d block %d: %d mismatched values between GenerateBlockAt and GenerateBlocksInto", workers, i, n)
+				t.Fatalf("workers=%d block %d: %d mismatched values between GenerateBlockAt and GenerateBlocksAt", workers, i, n)
 			}
 		}
 	}

@@ -35,6 +35,26 @@ func ColoringFromCovariance(k *cmplxmat.Matrix) (*cmplxmat.Matrix, *ForcedPSD, e
 	return ColoringMatrix(f), f, nil
 }
 
+// resolveColoring returns the unscaled coloring matrix L for the covariance
+// target k — the caller's override when non-nil (the caller guarantees
+// L·Lᴴ is the covariance it intends), else the eigen construction — together
+// with the zero-clamp forcing record of k, which Diagnostics reports either
+// way.
+func resolveColoring(k, override *cmplxmat.Matrix) (*cmplxmat.Matrix, *ForcedPSD, error) {
+	if override == nil {
+		return ColoringFromCovariance(k)
+	}
+	if n := k.Rows(); !override.IsSquare() || override.Rows() != n {
+		return nil, nil, fmt.Errorf("core: coloring override %dx%d for %d envelopes: %w",
+			override.Rows(), override.Cols(), n, ErrBadInput)
+	}
+	forced, err := ForcePSD(k)
+	if err != nil {
+		return nil, nil, err
+	}
+	return override, forced, nil
+}
+
 // VerifyColoring returns ‖L·Lᴴ − K̄‖_F, the defect of the coloring matrix
 // against the forced covariance. It is used by tests and by the validation
 // CLI; a correct decomposition keeps it at round-off level.

@@ -134,42 +134,74 @@ func blocksEqual(t *testing.T, label string, a, b *Block) {
 	}
 }
 
+// TestGenerateBlockIntoMatchesGenerateBlock checks that a reused
+// destination receives the same values as a freshly allocated block, now
+// that GenerateBlockAt is the one fill entry for both. Twin generators keep
+// the two fills from sharing any state.
 func TestGenerateBlockIntoMatchesGenerateBlock(t *testing.T) {
 	g1 := newTestRealTimeGenerator(t, 411, 512)
 	g2 := newTestRealTimeGenerator(t, 411, 512)
+	s1 := newScratches(t, g1, 1)[0]
+	s2 := newScratches(t, g2, 1)[0]
 	into := NewBlock(g2.N(), g2.BlockLength())
-	for i := 0; i < 3; i++ {
-		want := g1.GenerateBlock()
-		if err := g2.GenerateBlockInto(into); err != nil {
-			t.Fatalf("GenerateBlockInto: %v", err)
+	for i := uint64(0); i < 3; i++ {
+		want := NewBlock(g1.N(), g1.BlockLength())
+		if err := g1.GenerateBlockAt(i, want, s1); err != nil {
+			t.Fatalf("GenerateBlockAt (fresh): %v", err)
 		}
-		blocksEqual(t, "block", want, into)
+		if err := g2.GenerateBlockAt(i, into, s2); err != nil {
+			t.Fatalf("GenerateBlockAt (reused): %v", err)
+		}
+		blocksEqual(t, "fresh vs reused", want, into)
 	}
-	if err := g2.GenerateBlockInto(nil); !errors.Is(err, ErrBadInput) {
+	if err := g2.GenerateBlockAt(0, nil, s2); !errors.Is(err, ErrBadInput) {
 		t.Errorf("nil block: err = %v", err)
 	}
+	if err := g2.GenerateBlockAt(0, into, nil); !errors.Is(err, ErrBadInput) {
+		t.Errorf("nil scratch: err = %v", err)
+	}
 }
 
+// TestGenerateBlockIntoReshapesWrongBlocks shapes an empty destination in
+// place through GenerateBlockAt and fills it with the values a pre-shaped
+// one receives.
 func TestGenerateBlockIntoReshapesWrongBlocks(t *testing.T) {
 	g := newTestRealTimeGenerator(t, 413, 512)
-	b := &Block{} // empty: must be shaped in place
-	if err := g.GenerateBlockInto(b); err != nil {
-		t.Fatalf("GenerateBlockInto: %v", err)
-	}
-	if len(b.Gaussian) != 3 || len(b.Gaussian[0]) != 512 {
-		t.Fatalf("block not reshaped: %dx%d", len(b.Gaussian), len(b.Gaussian[0]))
+	s := newScratches(t, g, 1)[0]
+	want := NewBlock(g.N(), g.BlockLength())
+	for i := uint64(0); i < 3; i++ {
+		b := &Block{} // empty: must be shaped in place
+		if err := g.GenerateBlockAt(i, b, s); err != nil {
+			t.Fatalf("GenerateBlockAt: %v", err)
+		}
+		if len(b.Gaussian) != 3 || len(b.Gaussian[0]) != 512 {
+			t.Fatalf("block not reshaped: %dx%d", len(b.Gaussian), len(b.Gaussian[0]))
+		}
+		if err := g.GenerateBlockAt(i, want, s); err != nil {
+			t.Fatalf("GenerateBlockAt: %v", err)
+		}
+		blocksEqual(t, "reshaped vs pre-shaped", want, b)
 	}
 }
 
-func TestGenerateBlockIntoDoesNotAllocate(t *testing.T) {
+// TestGenerateBlocksAtNoAllocs pins the single-worker fan-out that
+// RealTime.BlocksInto runs at Parallel <= 1: with pre-shaped blocks and
+// power-of-two M a steady-state call touches no heap.
+func TestGenerateBlocksAtNoAllocs(t *testing.T) {
 	g := newTestRealTimeGenerator(t, 415, 512)
-	b := NewBlock(g.N(), g.BlockLength())
+	dst := make([]*Block, 4)
+	for i := range dst {
+		dst[i] = NewBlock(g.N(), g.BlockLength())
+	}
+	scratches := newScratches(t, g, 1)
+	var start uint64
 	if n := testing.AllocsPerRun(10, func() {
-		if err := g.GenerateBlockInto(b); err != nil {
+		if err := g.GenerateBlocksAt(start, dst, scratches); err != nil {
 			t.Fatal(err)
 		}
+		start += uint64(len(dst))
 	}); n != 0 {
-		t.Errorf("GenerateBlockInto allocates %v per run", n)
+		t.Errorf("GenerateBlocksAt allocates %v per run", n)
 	}
 }
 
@@ -201,6 +233,13 @@ func TestGenerateBlocksIntoValidation(t *testing.T) {
 	}
 	if err := g.GenerateBlocksInto(make([]*Block, 2), 1); !errors.Is(err, ErrBadInput) {
 		t.Errorf("nil entries: err = %v", err)
+	}
+	dst := []*Block{NewBlock(g.N(), g.BlockLength())}
+	if err := g.GenerateBlocksAt(0, dst, nil); !errors.Is(err, ErrBadInput) {
+		t.Errorf("no scratch: err = %v", err)
+	}
+	if err := g.GenerateBlocksAt(0, dst, make([]*BlockScratch, 1)); !errors.Is(err, ErrBadInput) {
+		t.Errorf("nil scratch: err = %v", err)
 	}
 }
 

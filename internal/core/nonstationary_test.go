@@ -45,7 +45,7 @@ func TestNonstationaryValidation(t *testing.T) {
 
 // TestNonstationarySegmentVariance pins the per-segment σ²_g: blocks in
 // different trajectory legs carry their own Eq. (19) variance, and the
-// sequential path walks the trajectory in block order.
+// block index walks the trajectory in order.
 func TestNonstationarySegmentVariance(t *testing.T) {
 	g := newSegmentedGenerator(t, 31, 512, testTrajectory, nil)
 	want0 := g.segments[0].sigmaG2
@@ -56,8 +56,12 @@ func TestNonstationarySegmentVariance(t *testing.T) {
 	if g.SampleVariance() != want0 {
 		t.Fatalf("SampleVariance() = %g, want segment 0's %g", g.SampleVariance(), want0)
 	}
+	s := newScratches(t, g, 1)[0]
+	b := NewBlock(g.N(), g.BlockLength())
 	for k := 0; k < 8; k++ {
-		b := g.GenerateBlock()
+		if err := g.GenerateBlockAt(uint64(k), b, s); err != nil {
+			t.Fatal(err)
+		}
 		want := want0
 		if k >= 3 {
 			want = want1 // the last segment persists past the trajectory
@@ -119,10 +123,10 @@ func TestNonstationaryWorkerAndResumeIdentity(t *testing.T) {
 	for i := range tail {
 		tail[i] = NewBlock(g2.N(), g2.BlockLength())
 	}
-	if err := g2.GenerateBlocksInto(head, 1); err != nil {
+	if err := g2.GenerateBlocksAt(0, head, newScratches(t, g2, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := g2.GenerateBlocksInto(tail, 3); err != nil {
+	if err := g2.GenerateBlocksAt(uint64(len(head)), tail, newScratches(t, g2, 3)); err != nil {
 		t.Fatal(err)
 	}
 	for i := range head {

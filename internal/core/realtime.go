@@ -46,7 +46,7 @@ type RealTimeConfig struct {
 	// InputVariance is σ²_orig, the variance of the real Gaussian sequences
 	// feeding each Doppler filter. Zero selects the paper's 1/2.
 	InputVariance float64
-	// Seed seeds the random streams (one derived stream per envelope).
+	// Seed seeds the random streams (one derived stream set per block).
 	Seed int64
 	// AssumeUnitVariance, when true, skips the Eq. (19) correction and feeds
 	// the coloring step with σ²_g = 1 regardless of the true Doppler filter
@@ -63,8 +63,8 @@ type RealTimeConfig struct {
 	Coloring *cmplxmat.Matrix
 	// Transform, when non-nil, post-processes every generated row (the
 	// channel-model zoo's Rician/Nakagami/Suzuki sample transforms). It is
-	// applied inside the block fill, so every path — sequential, batched,
-	// random-access, worker-pooled — produces identical transformed output.
+	// applied inside the block fill, so every path — random-access or
+	// worker-pooled — produces identical transformed output.
 	Transform Transform
 	// DopplerSegments, when non-empty, replaces the single Doppler design
 	// with a piecewise trajectory: block k is generated with the Doppler
@@ -139,14 +139,13 @@ type rtSegment struct {
 	sigmaG2  float64
 }
 
-// BlockScratch is the per-worker workspace of the parallel block fan-out and
-// of random-access block generation: the N×M input and output panels of the
-// coloring GEMM, the worker's Doppler generator for each trajectory segment,
-// and a reusable set of per-envelope RNGs reseeded for every block. For
-// power-of-two M the generators are the segments' own (read-only after
-// construction, so concurrent BlockInto calls are safe); for other lengths
-// each worker gets a private copy because the Bluestein IDFT plan owns
-// convolution scratch.
+// BlockScratch is the per-worker workspace of block generation: the N×M
+// input and output panels of the coloring GEMM, the worker's Doppler
+// generator for each trajectory segment, and a reusable set of per-envelope
+// RNGs reseeded for every block. For power-of-two M the generators are the
+// segments' own (read-only after construction, so concurrent BlockInto calls
+// are safe); for other lengths each worker gets a private copy because the
+// Bluestein IDFT plan owns convolution scratch.
 type BlockScratch struct {
 	w, z    *cmplxmat.Matrix
 	segGens []*doppler.Generator // indexed like RealTimeGenerator.segments
@@ -154,34 +153,23 @@ type BlockScratch struct {
 	rngs    []*randx.RNG
 }
 
-// RealTimeGenerator implements the combined algorithm of Section 5. The
-// generation hot path is batched: each block draws the N Doppler processes
-// into the rows of an N×M panel and colors all M time instants with a single
-// cache-blocked matrix-matrix product.
+// RealTimeGenerator implements the combined algorithm of Section 5. Block k
+// of its sequence is a pure function of the configuration and k, filled by
+// GenerateBlockAt: each block draws the N Doppler processes into the rows of
+// an N×M panel and colors all M time instants with a single cache-blocked
+// matrix-matrix product. The generator holds only construction-time state;
+// all sampling state lives in caller-owned BlockScratch values, so one
+// generator may serve any number of goroutines.
 type RealTimeGenerator struct {
-	snapshot *SnapshotGenerator
+	forced   *ForcedPSD
 	segments []rtSegment
-	rngs     []*randx.RNG
-	// batchRoot is the frozen root of the per-block stream sets: block i of
-	// the batched/random-access paths draws from batchRoot.SplitAt(i). It is
-	// never advanced, so GenerateBlockAt stays a pure function of the seed
-	// and the block index.
+	// batchRoot is the frozen root of the per-block stream sets: block i
+	// draws from batchRoot.SplitAt(i). It is never advanced.
 	batchRoot *randx.RNG
-	// batchNext is the index of the next block GenerateBlocksInto will
-	// produce, so consecutive batched calls continue one deterministic block
-	// sequence.
-	batchNext uint64
-	// seqNext is the index of the next block of the sequential
-	// GenerateBlock path; it selects the Doppler segment and the transform
-	// offset of that path.
-	seqNext   uint64
 	n         int
 	m         int
-	sigmaG2   float64
 	inputVar  float64
 	transform Transform
-	w, z      *cmplxmat.Matrix // sequential-path GEMM panels
-	scratches []*BlockScratch  // cached worker workspaces (GenerateBlocksInto)
 }
 
 // NewRealTimeGenerator validates the configuration and builds the Doppler
@@ -204,85 +192,58 @@ func NewRealTimeGenerator(cfg RealTimeConfig) (*RealTimeGenerator, error) {
 
 	// Resolve the Doppler trajectory: one stationary segment from Filter, or
 	// one segment per DopplerSegments entry (Filter then contributes only M).
-	specs := []doppler.FilterSpec{cfg.Filter}
-	starts := []uint64{0}
+	segments := []rtSegment{{spec: cfg.Filter}}
 	if len(cfg.DopplerSegments) > 0 {
 		if cfg.Filter.NormalizedDoppler != 0 {
 			return nil, fmt.Errorf("core: both Filter.NormalizedDoppler and DopplerSegments set: %w", ErrBadInput)
 		}
-		specs = specs[:0]
-		starts = starts[:0]
+		segments = make([]rtSegment, len(cfg.DopplerSegments))
 		var start uint64
 		for i, seg := range cfg.DopplerSegments {
 			if seg.Blocks <= 0 {
 				return nil, fmt.Errorf("core: Doppler segment %d needs blocks > 0, got %d: %w", i, seg.Blocks, ErrBadInput)
 			}
-			specs = append(specs, doppler.FilterSpec{M: cfg.Filter.M, NormalizedDoppler: seg.NormalizedDoppler})
-			starts = append(starts, start)
+			segments[i] = rtSegment{start: start, spec: doppler.FilterSpec{M: cfg.Filter.M, NormalizedDoppler: seg.NormalizedDoppler}}
 			start += uint64(seg.Blocks)
 		}
 	}
-
-	// The stream layout: one split per envelope, then the frozen batch
-	// root. Doppler generator construction consumes no randomness.
-	segments := make([]rtSegment, len(specs))
-	gen0, err := doppler.NewGenerator(specs[0], inputVar)
-	if err != nil {
-		return nil, fmt.Errorf("core: Doppler generator: %w", err)
-	}
-	root := randx.New(cfg.Seed)
-	rngs := make([]*randx.RNG, n)
-	for j := range rngs {
-		rngs[j] = root.Split()
-	}
-
-	// Step 6 of the combined algorithm: σ²_g from Eq. (19), identical for
-	// every envelope because they share one filter and input variance.
-	sigmaG2 := gen0.OutputVariance()
-	if cfg.AssumeUnitVariance {
-		sigmaG2 = 1
+	for i := range segments {
+		gen, err := doppler.NewGenerator(segments[i].spec, inputVar)
+		if err != nil {
+			return nil, fmt.Errorf("core: Doppler segment %d generator: %w", i, err)
+		}
+		segments[i].gen = gen
+		// Step 6 of the combined algorithm: σ²_g from Eq. (19), identical
+		// for every envelope because they share one filter and input
+		// variance.
+		segments[i].sigmaG2 = gen.OutputVariance()
+		if cfg.AssumeUnitVariance {
+			segments[i].sigmaG2 = 1
+		}
 	}
 
-	snap, err := NewSnapshotGenerator(SnapshotConfig{
-		Covariance:     cfg.Covariance,
-		SampleVariance: sigmaG2,
-		Seed:           cfg.Seed,
-		Coloring:       cfg.Coloring,
-	})
+	l, forced, err := resolveColoring(cfg.Covariance, cfg.Coloring)
 	if err != nil {
 		return nil, err
 	}
-	batchRoot := root.Split()
-	segments[0] = rtSegment{start: starts[0], spec: specs[0], gen: gen0, coloring: snap.coloring, sigmaG2: sigmaG2}
-	for si := 1; si < len(specs); si++ {
-		gen, err := doppler.NewGenerator(specs[si], inputVar)
-		if err != nil {
-			return nil, fmt.Errorf("core: Doppler segment %d generator: %w", si, err)
-		}
-		segSigma := gen.OutputVariance()
-		if cfg.AssumeUnitVariance {
-			segSigma = 1
-		}
-		coloring, err := ScaleColoring(snap.rawL, segSigma)
-		if err != nil {
+	for i := range segments {
+		if segments[i].coloring, err = ScaleColoring(l, segments[i].sigmaG2); err != nil {
 			return nil, err
 		}
-		segments[si] = rtSegment{start: starts[si], spec: specs[si], gen: gen, coloring: coloring, sigmaG2: segSigma}
 	}
 
-	m := cfg.Filter.M
+	// The stream layout, pinned by the golden hashes and every served
+	// byte: the first N splits of the seed's root are skipped, the next one
+	// is the frozen batch root. Doppler generator construction consumes no
+	// randomness.
 	return &RealTimeGenerator{
-		snapshot:  snap,
+		forced:    forced,
 		segments:  segments,
-		rngs:      rngs,
-		batchRoot: batchRoot,
+		batchRoot: randx.New(cfg.Seed).SplitAt(uint64(n)),
 		n:         n,
-		m:         m,
-		sigmaG2:   sigmaG2,
+		m:         cfg.Filter.M,
 		inputVar:  inputVar,
 		transform: cfg.Transform,
-		w:         cmplxmat.New(n, m),
-		z:         cmplxmat.New(n, m),
 	}, nil
 }
 
@@ -294,10 +255,10 @@ func (g *RealTimeGenerator) BlockLength() int { return g.m }
 
 // SampleVariance returns the σ²_g used in the whitening step (of the first
 // trajectory segment when the Doppler is nonstationary).
-func (g *RealTimeGenerator) SampleVariance() float64 { return g.sigmaG2 }
+func (g *RealTimeGenerator) SampleVariance() float64 { return g.segments[0].sigmaG2 }
 
 // Diagnostics returns the positive semi-definiteness forcing record.
-func (g *RealTimeGenerator) Diagnostics() *ForcedPSD { return g.snapshot.Diagnostics() }
+func (g *RealTimeGenerator) Diagnostics() *ForcedPSD { return g.forced }
 
 // segmentIndexAt returns the index of the trajectory segment covering the
 // given block; the final segment persists past the trajectory end.
@@ -324,84 +285,7 @@ func (g *RealTimeGenerator) TheoreticalAutocorrelationAt(block uint64, lag int) 
 	return doppler.TheoreticalAutocorrelation(g.segments[g.segmentIndexAt(block)].spec.NormalizedDoppler, lag)
 }
 
-// GenerateBlock produces one block: each of the N Doppler generators emits M
-// time samples, and the whole N×M panel is colored by L/σ_g in a single
-// matrix-matrix product (steps 7–8 of the combined algorithm, batched over
-// the block).
-func (g *RealTimeGenerator) GenerateBlock() *Block {
-	b := NewBlock(g.n, g.m)
-	// GenerateBlockInto cannot fail on a freshly shaped block.
-	_ = g.GenerateBlockInto(b)
-	return b
-}
-
-// GenerateBlockInto produces the next block into b, reusing its storage when
-// it already has the right shape (rows of wrong length are reallocated). It
-// continues the same per-envelope random streams as GenerateBlock, produces
-// identical values, and performs no steady-state heap allocation for
-// power-of-two M.
-//
-// fadinglint:allocfree
-func (g *RealTimeGenerator) GenerateBlockInto(b *Block) error {
-	if b == nil {
-		return fmt.Errorf("core: nil destination block: %w", ErrBadInput)
-	}
-	b.ensureShape(g.n, g.m)
-	seg := &g.segments[g.segmentIndexAt(g.seqNext)]
-	g.fillBlock(seg.gen, seg, g.rngs, g.w, g.z, b, g.seqNext)
-	g.seqNext++
-	return nil
-}
-
-// fillBlock is the batched hot path: Doppler rows into w, one ColorBlock GEMM
-// into z, then a single fused pass that stores the colored samples and their
-// envelopes (the envelope is computed once per sample, straight from the
-// colored value). With a fading transform configured, the pass instead copies
-// the row and hands it to the transform, which rewrites samples and envelopes
-// in place; index is the block's position in its sequence, giving the
-// transform its global sample offset.
-//
-// fadinglint:allocfree
-func (g *RealTimeGenerator) fillBlock(gen *doppler.Generator, seg *rtSegment, rngs []*randx.RNG, w, z *cmplxmat.Matrix, b *Block, index uint64) {
-	for j := 0; j < g.n; j++ {
-		// Row length equals the generator's M by construction.
-		_ = gen.BlockInto(rngs[j], w.RowView(j))
-	}
-	// Dimensions are fixed at construction, so ColorBlock cannot fail.
-	_ = cmplxmat.ColorBlock(seg.coloring, w, z)
-	offset := index * uint64(g.m)
-	for j := 0; j < g.n; j++ {
-		zr := z.RowView(j)
-		gj := b.Gaussian[j]
-		ej := b.Envelopes[j]
-		if g.transform != nil {
-			copy(gj, zr)
-			g.transform.Apply(j, offset, gj, ej)
-			continue
-		}
-		for l, v := range zr {
-			gj[l] = v
-			ej[l] = envAbs(v)
-		}
-	}
-	b.SampleVariance = seg.sigmaG2
-}
-
-// GenerateBlocks produces count consecutive blocks from the generator's
-// persistent streams (the sequential equivalent of calling GenerateBlock in a
-// loop).
-func (g *RealTimeGenerator) GenerateBlocks(count int) ([]*Block, error) {
-	if count <= 0 {
-		return nil, fmt.Errorf("core: block count %d must be positive: %w", count, ErrBadInput)
-	}
-	out := make([]*Block, count)
-	for i := range out {
-		out[i] = g.GenerateBlock()
-	}
-	return out, nil
-}
-
-// NewBlockScratch builds a worker workspace for GenerateBlocksInto.
+// NewBlockScratch builds a worker workspace for GenerateBlockAt.
 func (g *RealTimeGenerator) NewBlockScratch() (*BlockScratch, error) {
 	segGens := make([]*doppler.Generator, len(g.segments))
 	for si := range g.segments {
@@ -430,14 +314,24 @@ func (g *RealTimeGenerator) NewBlockScratch() (*BlockScratch, error) {
 	}, nil
 }
 
-// GenerateBlockAt generates block index of the deterministic batched block
-// sequence into b using the caller-owned scratch s: the same values
-// GenerateBlocksInto would place at position index of a from-construction
-// run, regardless of call order, batch sizes or worker counts. Random access
-// is what makes streams resumable — serving block k to a resuming client is
-// bit-identical to having streamed from 0. The block's Doppler segment and
-// fading-transform offset are derived from index, so the contract holds for
-// every model of the zoo, including nonstationary trajectories.
+// GenerateBlockAt generates block index of the deterministic block sequence
+// into b using the caller-owned scratch s, reusing b's storage when it
+// already has the right shape (rows of wrong length are reallocated). It is
+// the only way a block is filled: the fan-outs below call it per block, so
+// the values at position index never depend on call order, batch sizes or
+// worker counts. Random access is what makes streams resumable — serving
+// block k to a resuming client is bit-identical to having streamed from 0.
+// The block's Doppler segment and fading-transform offset are derived from
+// index, so the contract holds for every model of the zoo, including
+// nonstationary trajectories.
+//
+// Each of the N Doppler generators emits M time samples into one row of the
+// scratch panel, the whole N×M panel is colored by L/σ_g in a single
+// matrix-matrix product (steps 7–8 of the combined algorithm, batched over
+// the block), and one fused pass stores the colored samples and their
+// envelopes. With a fading transform configured, the pass instead copies
+// each row and hands it to the transform, which rewrites samples and
+// envelopes in place.
 //
 // The call reads only construction-time generator state, so concurrent
 // GenerateBlockAt calls with distinct b and s are safe (any M; non-power-of-
@@ -459,83 +353,99 @@ func (g *RealTimeGenerator) GenerateBlockAt(index uint64, b *Block, s *BlockScra
 	}
 	b.ensureShape(g.n, g.m)
 	si := g.segmentIndexAt(index)
-	g.fillBlock(s.segGens[si], &g.segments[si], s.rngs, s.w, s.z, b, index)
+	seg := &g.segments[si]
+	for j, r := range s.rngs {
+		// Row length equals the generator's M by construction.
+		_ = s.segGens[si].BlockInto(r, s.w.RowView(j))
+	}
+	// Dimensions are fixed at construction, so ColorBlock cannot fail.
+	_ = cmplxmat.ColorBlock(seg.coloring, s.w, s.z)
+	offset := index * uint64(g.m)
+	for j := 0; j < g.n; j++ {
+		zr := s.z.RowView(j)
+		gj := b.Gaussian[j]
+		ej := b.Envelopes[j]
+		if g.transform != nil {
+			copy(gj, zr)
+			g.transform.Apply(j, offset, gj, ej)
+			continue
+		}
+		for l, v := range zr {
+			gj[l] = v
+			ej[l] = envAbs(v)
+		}
+	}
+	b.SampleVariance = seg.sigmaG2
 	return nil
 }
 
-// GenerateBlocksInto fills dst with len(dst) consecutive blocks. Every block
-// draws from its own stream set, derived deterministically (and in block
-// order) from the generator seed, so the output is bit-identical for every
-// worker count; workers > 1 fans the blocks across that many goroutines, each
-// with a private BlockScratch. Entries of dst must be non-nil; their storage
-// is reused when already shaped.
+// GenerateBlocksAt fills dst[i] with block start+i, fanning the blocks
+// across one worker per scratch (never more workers than blocks). Every
+// block goes through GenerateBlockAt, so the output is bit-identical for
+// every worker count and equals the blocks GenerateBlockAt produces one at
+// a time. Entries of dst and scratches must be non-nil; block storage is
+// reused when already shaped. With one scratch (or one block), pre-shaped
+// blocks and power-of-two M the call performs no heap allocation.
 //
-// The per-block streams are distinct from the persistent streams behind
-// GenerateBlock: a batched run reproduces other batched runs, not a sequence
-// of GenerateBlock calls. Consecutive calls continue one deterministic block
-// sequence, every position of which GenerateBlockAt reproduces in isolation.
-func (g *RealTimeGenerator) GenerateBlocksInto(dst []*Block, workers int) error {
+// fadinglint:allocfree
+func (g *RealTimeGenerator) GenerateBlocksAt(start uint64, dst []*Block, scratches []*BlockScratch) error {
 	if len(dst) == 0 {
 		return fmt.Errorf("core: empty block destination: %w", ErrBadInput)
+	}
+	if len(scratches) == 0 {
+		return fmt.Errorf("core: no block scratch: %w", ErrBadInput)
 	}
 	for i, b := range dst {
 		if b == nil {
 			return fmt.Errorf("core: nil destination block %d: %w", i, ErrBadInput)
 		}
 	}
-	// Derive all streams up front, in block order from the frozen batch root:
-	// this is what pins the output regardless of scheduling, and what keeps
-	// the sequence random-access (GenerateBlockAt reproduces any position).
-	blockRngs := make([][]*randx.RNG, len(dst))
-	for i := range dst {
-		root := g.batchRoot.SplitAt(g.batchNext + uint64(i))
-		rs := make([]*randx.RNG, g.n)
-		for j := range rs {
-			rs[j] = root.Split()
+	workers := min(len(scratches), len(dst))
+	for _, s := range scratches[:workers] {
+		if s == nil {
+			return fmt.Errorf("core: nil block scratch: %w", ErrBadInput)
 		}
-		blockRngs[i] = rs
 	}
-	base := g.batchNext
-	g.batchNext += uint64(len(dst))
-	workers = min(workers, len(dst))
-	if workers <= 1 {
+	if workers == 1 {
 		for i, b := range dst {
-			b.ensureShape(g.n, g.m)
-			idx := base + uint64(i)
-			seg := &g.segments[g.segmentIndexAt(idx)]
-			g.fillBlock(seg.gen, seg, blockRngs[i], g.w, g.z, b, idx)
+			// Neither b nor the scratch is nil, so GenerateBlockAt cannot fail.
+			_ = g.GenerateBlockAt(start+uint64(i), b, scratches[0])
 		}
 		return nil
 	}
-	// Worker workspaces persist across calls so a streaming caller pays their
-	// construction once, not per batch.
-	for len(g.scratches) < workers {
-		s, err := g.NewBlockScratch()
-		if err != nil {
-			return err
-		}
-		g.scratches = append(g.scratches, s)
-	}
-	scratches := g.scratches[:workers]
 	var wg sync.WaitGroup
 	var next atomic.Int64
 	next.Store(-1)
 	wg.Add(workers)
-	for wk := 0; wk < workers; wk++ {
-		go func(s *BlockScratch) {
+	for _, s := range scratches[:workers] {
+		//lint:allow allocfree the multi-worker fan-out spawns goroutines; the zero-alloc contract covers one worker
+		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1))
-				if i >= len(dst) {
+				i := next.Add(1)
+				if i >= int64(len(dst)) {
 					return
 				}
-				dst[i].ensureShape(g.n, g.m)
-				idx := base + uint64(i)
-				si := g.segmentIndexAt(idx)
-				g.fillBlock(s.segGens[si], &g.segments[si], blockRngs[i], s.w, s.z, dst[i], idx)
+				_ = g.GenerateBlockAt(start+uint64(i), dst[i], s)
 			}
-		}(scratches[wk])
+		}()
 	}
 	wg.Wait()
 	return nil
+}
+
+// GenerateBlocksInto fills dst with blocks 0..len(dst)-1 of the sequence,
+// fanned across workers freshly built scratches (values <= 1 select one):
+// the from-construction prefix a one-shot caller wants. Streaming callers
+// that continue the sequence keep their scratches and call GenerateBlocksAt.
+func (g *RealTimeGenerator) GenerateBlocksInto(dst []*Block, workers int) error {
+	scratches := make([]*BlockScratch, max(1, min(workers, len(dst))))
+	for i := range scratches {
+		s, err := g.NewBlockScratch()
+		if err != nil {
+			return err
+		}
+		scratches[i] = s
+	}
+	return g.GenerateBlocksAt(0, dst, scratches)
 }

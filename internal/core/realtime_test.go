@@ -70,6 +70,16 @@ func TestRealTimeGeneratorBasicProperties(t *testing.T) {
 	}
 }
 
+// blockAt generates block i of g into a fresh block.
+func blockAt(t *testing.T, g *RealTimeGenerator, i uint64) *Block {
+	t.Helper()
+	b := NewBlock(g.N(), g.BlockLength())
+	if err := g.GenerateBlockAt(i, b, newScratches(t, g, 1)[0]); err != nil {
+		t.Fatalf("GenerateBlockAt(%d): %v", i, err)
+	}
+	return b
+}
+
 func TestRealTimeBlockShape(t *testing.T) {
 	g, err := NewRealTimeGenerator(RealTimeConfig{
 		Covariance: eq22Covariance(),
@@ -79,7 +89,7 @@ func TestRealTimeBlockShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRealTimeGenerator: %v", err)
 	}
-	b := g.GenerateBlock()
+	b := blockAt(t, g, 0)
 	if len(b.Gaussian) != 3 || len(b.Envelopes) != 3 {
 		t.Fatalf("block has %d Gaussian rows, %d envelope rows", len(b.Gaussian), len(b.Envelopes))
 	}
@@ -96,14 +106,6 @@ func TestRealTimeBlockShape(t *testing.T) {
 	}
 	if b.SampleVariance != g.SampleVariance() {
 		t.Errorf("block records sample variance %g, generator %g", b.SampleVariance, g.SampleVariance())
-	}
-
-	blocks, err := g.GenerateBlocks(3)
-	if err != nil || len(blocks) != 3 {
-		t.Errorf("GenerateBlocks = %d blocks, %v", len(blocks), err)
-	}
-	if _, err := g.GenerateBlocks(0); err == nil {
-		t.Errorf("GenerateBlocks(0) did not error")
 	}
 }
 
@@ -126,7 +128,7 @@ func TestRealTimeCovarianceMatchesTarget(t *testing.T) {
 		series[j] = make([]complex128, 0, blocks*1024)
 	}
 	for b := 0; b < blocks; b++ {
-		blk := g.GenerateBlock()
+		blk := blockAt(t, g, uint64(b))
 		for j := 0; j < 3; j++ {
 			series[j] = append(series[j], blk.Gaussian[j]...)
 		}
@@ -165,7 +167,7 @@ func TestRealTimeUnitVarianceAssumptionBreaksCovariance(t *testing.T) {
 	const blocks = 10
 	series := make([][]complex128, 3)
 	for b := 0; b < blocks; b++ {
-		blk := gBad.GenerateBlock()
+		blk := blockAt(t, gBad, uint64(b))
 		for j := 0; j < 3; j++ {
 			series[j] = append(series[j], blk.Gaussian[j]...)
 		}
@@ -201,7 +203,7 @@ func TestRealTimeEnvelopeAutocorrelationFollowsJ0(t *testing.T) {
 	maxLag := 40
 	acc := make([]float64, maxLag+1)
 	for b := 0; b < blocks; b++ {
-		blk := g.GenerateBlock()
+		blk := blockAt(t, g, uint64(b))
 		rho, err := stats.LaggedAutocorrelation(blk.Gaussian[0], maxLag)
 		if err != nil {
 			t.Fatalf("LaggedAutocorrelation: %v", err)
@@ -232,7 +234,7 @@ func TestRealTimeEnvelopesAreRayleigh(t *testing.T) {
 	}
 	var env []float64
 	for b := 0; b < 20; b++ {
-		blk := g.GenerateBlock()
+		blk := blockAt(t, g, uint64(b))
 		env = append(env, blk.Envelopes[1]...)
 	}
 	d, err := stats.NewRayleighFromGaussianPower(1)
@@ -264,8 +266,8 @@ func TestRealTimeDeterministicSeed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRealTimeGenerator: %v", err)
 	}
-	b1 := g1.GenerateBlock()
-	b2 := g2.GenerateBlock()
+	b1 := blockAt(t, g1, 0)
+	b2 := blockAt(t, g2, 0)
 	for j := range b1.Gaussian {
 		for l := range b1.Gaussian[j] {
 			if b1.Gaussian[j][l] != b2.Gaussian[j][l] {

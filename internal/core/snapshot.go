@@ -91,22 +91,7 @@ func NewSnapshotGenerator(cfg SnapshotConfig) (*SnapshotGenerator, error) {
 	if sampleVar < 0 {
 		return nil, fmt.Errorf("core: negative sample variance %g: %w", sampleVar, ErrBadInput)
 	}
-	var (
-		l      *cmplxmat.Matrix
-		forced *ForcedPSD
-		err    error
-	)
-	if cfg.Coloring != nil {
-		n := cfg.Covariance.Rows()
-		if !cfg.Coloring.IsSquare() || cfg.Coloring.Rows() != n {
-			return nil, fmt.Errorf("core: coloring override %dx%d for %d envelopes: %w",
-				cfg.Coloring.Rows(), cfg.Coloring.Cols(), n, ErrBadInput)
-		}
-		l = cfg.Coloring
-		forced, err = ForcePSD(cfg.Covariance)
-	} else {
-		l, forced, err = ColoringFromCovariance(cfg.Covariance)
-	}
+	l, forced, err := resolveColoring(cfg.Covariance, cfg.Coloring)
 	if err != nil {
 		return nil, err
 	}

@@ -511,10 +511,23 @@ func evalIntoIdentity(a *AssertionSpec, data *runData) ([]Check, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The allocating side fills a fresh block per unit, the Into side
+		// reuses one pre-shaped block; each generator has its own scratch.
+		allocScratch, err := alloc.NewBlockScratch()
+		if err != nil {
+			return nil, err
+		}
+		intoScratch, err := into.NewBlockScratch()
+		if err != nil {
+			return nil, err
+		}
 		dst := core.NewBlock(alloc.N(), alloc.BlockLength())
-		for i := 0; i < units; i++ {
-			b := alloc.GenerateBlock()
-			if err := into.GenerateBlockInto(dst); err != nil {
+		for i := uint64(0); i < uint64(units); i++ {
+			b := &core.Block{}
+			if err := alloc.GenerateBlockAt(i, b, allocScratch); err != nil {
+				return nil, err
+			}
+			if err := into.GenerateBlockAt(i, dst, intoScratch); err != nil {
 				return nil, err
 			}
 			mismatches += blockMismatches(b, dst)

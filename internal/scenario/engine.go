@@ -280,22 +280,14 @@ func collectRealtime(data *runData) error {
 	segments := trajectorySegments(spec)
 
 	n := data.target.Rows()
+	// Block generation is bit-identical for every worker count, so workers
+	// changes wall-clock time, never the sample values.
 	blks := make([]*core.Block, blocks)
-	if workers := spec.Generation.Workers; workers > 1 {
-		// Parallel block generation: bit-identical for every worker count,
-		// but on per-block streams distinct from the sequential
-		// GenerateBlock path (toggling workers across the 1/2 boundary
-		// changes the sample values, never their statistics).
-		for i := range blks {
-			blks[i] = core.NewBlock(n, gen.BlockLength())
-		}
-		if err := gen.GenerateBlocksInto(blks, workers); err != nil {
-			return err
-		}
-	} else {
-		for b := range blks {
-			blks[b] = gen.GenerateBlock()
-		}
+	for i := range blks {
+		blks[i] = core.NewBlock(n, gen.BlockLength())
+	}
+	if err := gen.GenerateBlocksInto(blks, spec.Generation.Workers); err != nil {
+		return err
 	}
 	series := make([][]complex128, n)
 	segCount := make([]float64, len(segments))

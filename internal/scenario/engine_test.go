@@ -119,9 +119,9 @@ func TestBatchedIdentities(t *testing.T) {
 }
 
 // TestRealtimeWorkersCollection pins the parallel realtime collection path:
-// with workers > 1 the engine generates through GenerateBlocksInto, whose
-// output is worker-count invariant, so gate observations must be identical
-// for every workers > 1 setting.
+// the engine generates through GenerateBlocksInto, whose output is
+// worker-count invariant, so gate observations must be identical for every
+// workers setting.
 func TestRealtimeWorkersCollection(t *testing.T) {
 	build := func(workers int) *Spec {
 		return &Spec{
@@ -151,6 +151,38 @@ func TestRealtimeWorkersCollection(t *testing.T) {
 	b, _ := json.Marshal(res4.Gates)
 	if string(a) != string(b) {
 		t.Errorf("worker count leaked into gate observations:\n%s\n%s", a, b)
+	}
+}
+
+// TestRealtimeWorkersKeepReport runs one realtime spec at one and at two
+// workers: the worker count changes wall-clock time only, so the JSON
+// reports are byte-identical.
+func TestRealtimeWorkersKeepReport(t *testing.T) {
+	report := func(workers int) string {
+		spec := &Spec{
+			Name:  "realtime-workers-report",
+			Seed:  31,
+			Model: ModelSpec{Type: ModelEq22},
+			Generation: GenerationSpec{Mode: ModeRealtime, Blocks: 4,
+				IDFTPoints: 256, Workers: workers},
+			Assertions: []AssertionSpec{
+				{Type: AssertCovariance, MaxAbsError: 0.5},
+				{Type: AssertAutocorrelation, MaxLag: 20, Tolerance: 0.5},
+				{Type: AssertEnvelopeMoments, MeanTolerance: 0.5},
+			},
+		}
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		out, err := json.Marshal(res)
+		if err != nil {
+			t.Fatalf("workers=%d: marshal: %v", workers, err)
+		}
+		return string(out)
+	}
+	if a, b := report(1), report(2); a != b {
+		t.Errorf("worker count changed the report:\n%s\n%s", a, b)
 	}
 }
 

@@ -195,12 +195,10 @@ type GenerationSpec struct {
 	// InputVariance is σ²_orig of the Doppler filter input (realtime mode);
 	// zero selects the paper's 1/2.
 	InputVariance float64 `json:"input_variance,omitempty"`
-	// Workers is the worker count of the batched paths (batched and
-	// realtime modes); values <= 1 select the sequential path. In realtime
-	// mode, workers > 1 generates the blocks through GenerateBlocksInto,
-	// whose per-block streams differ from the sequential GenerateBlock
-	// streams (both are deterministic, and output is worker-count
-	// invariant).
+	// Workers is the worker count of the generation fan-out (batched and
+	// realtime modes); values <= 1 select one worker. Output is
+	// bit-identical for every value, so workers changes wall-clock time,
+	// never the sample values or the report.
 	Workers int `json:"workers,omitempty"`
 	// Method selects the generation backend realizing the covariance target:
 	// "generalized" (the default) or one of the conventional methods of the

@@ -289,18 +289,24 @@ func (g *Generator) Diagnostics() Diagnostics {
 // autocorrelation follows the Jakes model J0(2π·fm·d) (Section 5, Fig. 3 of
 // the paper).
 //
+// A RealTime generator is a Stream plus a position: Block, BlockInto and
+// BlocksInto all continue one block sequence, and block k of it equals
+// Cursor.BlockAt(k) on a Stream of the same configuration.
+//
 // A RealTime generator is not safe for concurrent use: its methods share
 // internal scratch, so drive each generator from one goroutine at a time
 // (the BlocksInto worker fan-out stays inside a single call and is fine).
 // Servers and other concurrent hosts should use Stream, whose cursors
-// generate the equivalent batched block sequence without shared state.
+// generate the same block sequence without shared state.
 type RealTime struct {
-	inner   *core.RealTimeGenerator
+	cursor  *Cursor // the stream and the position of the next block
 	workers int
-	scratch core.Block   // header scratch for BlockInto
-	blocks  []core.Block // backing structs for BlocksInto
-	views   []*core.Block
-	seen    map[*Block]int // reused per BlocksInto call for alias detection
+	// scratches are the BlocksInto worker workspaces, grown on demand;
+	// scratches[0] is the cursor's own.
+	scratches []*core.BlockScratch
+	blocks    []core.Block // backing structs for BlocksInto
+	views     []*core.Block
+	seen      map[*Block]int // reused per BlocksInto call for alias detection
 }
 
 // RealTimeConfig configures a RealTime generator.
@@ -321,10 +327,10 @@ type RealTimeConfig struct {
 	InputVariance float64
 	// Seed seeds the random streams.
 	Seed int64
-	// Parallel is the worker count of the batched generation path
-	// (BlocksInto). Values <= 1 select the sequential path; the output of a
-	// seeded run is bit-identical for every setting because every block draws
-	// from its own stream set, derived in block order before generation starts.
+	// Parallel is the worker count of BlocksInto; values <= 1 select one
+	// worker. The output of a seeded run is bit-identical for every setting
+	// because every block draws from its own stream set, a pure function of
+	// the seed and the block index.
 	Parallel int
 	// Method selects the generation backend (same vocabulary and failure
 	// classes as Config.Method). A conventional method contributes its own
@@ -355,17 +361,17 @@ type Block struct {
 	Envelopes [][]float64
 }
 
-// NewRealTime builds a RealTime generator.
+// NewRealTime builds a RealTime generator positioned at block 0.
 func NewRealTime(cfg RealTimeConfig) (*RealTime, error) {
-	coreCfg, err := realtimeCoreConfig(cfg)
+	stream, err := NewStream(cfg)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := core.NewRealTimeGenerator(coreCfg)
+	cursor, err := stream.NewCursor()
 	if err != nil {
-		return nil, fmt.Errorf("rayleigh: %w", err)
+		return nil, err
 	}
-	return &RealTime{inner: inner, workers: cfg.Parallel}, nil
+	return &RealTime{cursor: cursor, workers: cfg.Parallel, scratches: []*core.BlockScratch{cursor.scratch}}, nil
 }
 
 // realtimeCoreConfig resolves a public real-time configuration into the core
@@ -414,53 +420,44 @@ func realtimeCoreConfig(cfg RealTimeConfig) (core.RealTimeConfig, error) {
 }
 
 // N returns the number of envelopes.
-func (r *RealTime) N() int { return r.inner.N() }
+func (r *RealTime) N() int { return r.cursor.stream.N() }
 
 // BlockLength returns the number of time samples per block.
-func (r *RealTime) BlockLength() int { return r.inner.BlockLength() }
+func (r *RealTime) BlockLength() int { return r.cursor.stream.BlockLength() }
 
 // SampleVariance returns the σ²_g used in the whitening step: the Doppler
 // filter output variance of Eq. (19), or 1 under the Sorooshyari–Daut
 // backend's unit-variance assumption.
-func (r *RealTime) SampleVariance() float64 { return r.inner.SampleVariance() }
+func (r *RealTime) SampleVariance() float64 { return r.cursor.stream.SampleVariance() }
 
 // Block generates the next block of time-correlated envelopes.
 func (r *RealTime) Block() Block {
-	b := r.inner.GenerateBlock()
-	return Block{Gaussian: b.Gaussian, Envelopes: b.Envelopes}
+	var b Block
+	// Next cannot fail on a non-nil destination.
+	_ = r.cursor.Next(&b)
+	return b
 }
 
 // BlockInto generates the next block into b, reusing its storage when it
 // already holds N rows of BlockLength samples (an empty or wrong-shaped block
-// is [re]allocated in place). It continues the same random streams as Block
-// and produces identical values; with a pre-shaped destination and a
-// power-of-two IDFT length the call performs no steady-state heap allocation.
-// This is the streaming API for feeding live channel simulators sample block
-// by sample block.
+// is [re]allocated in place). It produces the values Block would; with a
+// pre-shaped destination and a power-of-two IDFT length the call performs no
+// steady-state heap allocation. This is the streaming API for feeding live
+// channel simulators sample block by sample block.
 func (r *RealTime) BlockInto(b *Block) error {
-	if b == nil {
-		return fmt.Errorf("rayleigh: nil destination block: %w", ErrInvalidConfig)
-	}
-	r.scratch.Gaussian, r.scratch.Envelopes = b.Gaussian, b.Envelopes
-	if err := r.inner.GenerateBlockInto(&r.scratch); err != nil {
-		return fmt.Errorf("rayleigh: %w", err)
-	}
-	b.Gaussian, b.Envelopes = r.scratch.Gaussian, r.scratch.Envelopes
-	r.scratch.Gaussian, r.scratch.Envelopes = nil, nil
-	return nil
+	return r.cursor.Next(b)
 }
 
-// BlocksInto fills dst with len(dst) consecutive blocks, reusing the storage
-// of every pre-shaped entry; nil entries are replaced by freshly allocated
+// BlocksInto fills dst with the next len(dst) blocks, reusing the storage of
+// every pre-shaped entry; nil entries are replaced by freshly allocated
 // blocks, and duplicate non-nil pointers are rejected with ErrInvalidConfig
-// (aliased entries would silently clobber each other). When RealTimeConfig.Parallel > 1 the blocks fan out across that many
-// workers, each with private Doppler generators and GEMM panels, and the
-// output is bit-identical for every worker count: every block draws from its
-// own stream set, derived in block order from the seed before generation
-// starts.
-//
-// The per-block streams are distinct from the streams behind Block/BlockInto:
-// a batched run reproduces other batched runs, not a sequence of Block calls.
+// (aliased entries would silently clobber each other). When
+// RealTimeConfig.Parallel > 1 the blocks fan out across that many workers,
+// each with private Doppler generators and GEMM panels; the output is
+// bit-identical for every worker count and to the same blocks taken one at
+// a time through Block or BlockInto. With Parallel <= 1, pre-shaped entries
+// and a power-of-two IDFT length the call performs no steady-state heap
+// allocation.
 func (r *RealTime) BlocksInto(dst []*Block) error {
 	if len(dst) == 0 {
 		return fmt.Errorf("rayleigh: empty block destination: %w", ErrInvalidConfig)
@@ -480,6 +477,16 @@ func (r *RealTime) BlocksInto(dst []*Block) error {
 		}
 		r.seen[b] = i
 	}
+	// Worker workspaces persist across calls so a streaming caller pays
+	// their construction once, not per batch.
+	workers := max(1, min(r.workers, len(dst)))
+	for len(r.scratches) < workers {
+		s, err := r.cursor.stream.inner.NewBlockScratch()
+		if err != nil {
+			return fmt.Errorf("rayleigh: %w", err)
+		}
+		r.scratches = append(r.scratches, s)
+	}
 	if cap(r.blocks) < len(dst) {
 		r.blocks = make([]core.Block, len(dst))
 		r.views = make([]*core.Block, len(dst))
@@ -496,9 +503,10 @@ func (r *RealTime) BlocksInto(dst []*Block) error {
 		}
 		blocks[i].Gaussian, blocks[i].Envelopes = b.Gaussian, b.Envelopes
 	}
-	if err := r.inner.GenerateBlocksInto(views, r.workers); err != nil {
+	if err := r.cursor.stream.inner.GenerateBlocksAt(r.cursor.pos, views, r.scratches[:workers]); err != nil {
 		return fmt.Errorf("rayleigh: %w", err)
 	}
+	r.cursor.pos += uint64(len(dst))
 	for i, b := range dst {
 		b.Gaussian, b.Envelopes = blocks[i].Gaussian, blocks[i].Envelopes
 		// Drop the scratch's reference so the generator does not pin the
@@ -513,7 +521,7 @@ func (r *RealTime) BlocksInto(dst []*Block) error {
 // the first trajectory segment; use TheoreticalAutocorrelationAt for later
 // blocks.
 func (r *RealTime) TheoreticalAutocorrelation(lag int) float64 {
-	return r.inner.TheoreticalAutocorrelation(lag)
+	return r.cursor.stream.TheoreticalAutocorrelation(lag)
 }
 
 // TheoreticalAutocorrelationAt returns the designed normalized
@@ -521,13 +529,11 @@ func (r *RealTime) TheoreticalAutocorrelation(lag int) float64 {
 // block. Without FadingNonstationaryDoppler every block reports the single
 // configured Doppler.
 func (r *RealTime) TheoreticalAutocorrelationAt(block uint64, lag int) float64 {
-	return r.inner.TheoreticalAutocorrelationAt(block, lag)
+	return r.cursor.stream.TheoreticalAutocorrelationAt(block, lag)
 }
 
 // Diagnostics reports the covariance conditioning applied at construction.
-func (r *RealTime) Diagnostics() Diagnostics {
-	return diagnosticsFromForced(r.inner.Diagnostics())
-}
+func (r *RealTime) Diagnostics() Diagnostics { return r.cursor.stream.Diagnostics() }
 
 // EnvelopePowerToGaussianPower converts a desired Rayleigh envelope variance
 // σr² to the power σg² of the complex Gaussian producing it (Eq. (11)).

@@ -155,6 +155,35 @@ func TestBlockIntoDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestBlocksIntoDoesNotAllocate pins the steady-state BlocksInto path at
+// Parallel <= 1: pre-shaped destinations and a power-of-two IDFT length
+// leave nothing to allocate.
+func TestBlocksIntoDoesNotAllocate(t *testing.T) {
+	for _, parallel := range []int{0, 1} {
+		r, err := NewRealTime(RealTimeConfig{
+			Covariance:        exponentialCovarianceRows(2, 0.5),
+			IDFTPoints:        1024,
+			NormalizedDoppler: 0.05,
+			Seed:              509,
+			Parallel:          parallel,
+		})
+		if err != nil {
+			t.Fatalf("NewRealTime: %v", err)
+		}
+		dst := make([]*Block, 4)
+		if err := r.BlocksInto(dst); err != nil { // shape the storage once
+			t.Fatalf("BlocksInto: %v", err)
+		}
+		if n := testing.AllocsPerRun(10, func() {
+			if err := r.BlocksInto(dst); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("Parallel=%d: BlocksInto allocates %v per call", parallel, n)
+		}
+	}
+}
+
 func TestBlocksIntoWorkerCountInvariance(t *testing.T) {
 	const count = 6
 	var want []*Block

@@ -221,6 +221,87 @@ func TestBlocksIntoRejectsAliasedDestinations(t *testing.T) {
 	}
 }
 
+// TestRealTimeOneSequence is the one-sequence contract: Block, BlockInto and
+// BlocksInto, interleaved on one RealTime at any Parallel, continue a single
+// block sequence whose block k equals Cursor.BlockAt(k) on a Stream of the
+// same configuration, bit for bit.
+func TestRealTimeOneSequence(t *testing.T) {
+	configs := []struct {
+		name string
+		cfg  RealTimeConfig
+	}{
+		{"rayleigh", streamTestConfig(23, 0)},
+		{"nakagami", RealTimeConfig{Covariance: streamTestCovariance, IDFTPoints: 128, NormalizedDoppler: 0.05, Seed: 29,
+			Fading: FadingNakagamiM, FadingParams: &FadingParams{M: 2.5}}},
+		{"nonstationary", RealTimeConfig{Covariance: streamTestCovariance, IDFTPoints: 128, Seed: 31,
+			Fading: FadingNonstationaryDoppler, FadingParams: &FadingParams{Segments: []DopplerSegment{
+				{Blocks: 2, NormalizedDoppler: 0.05}, {Blocks: 3, NormalizedDoppler: 0.15}}}}},
+		{"bluestein", RealTimeConfig{Covariance: streamTestCovariance, IDFTPoints: 1000, NormalizedDoppler: 0.05, Seed: 37}},
+	}
+	for _, c := range configs {
+		for _, parallel := range []int{1, 3} {
+			cfg := c.cfg
+			cfg.Parallel = parallel
+			rt, err := NewRealTime(cfg)
+			if err != nil {
+				t.Fatalf("%s: NewRealTime: %v", c.name, err)
+			}
+			var got []*Block
+			reused := &Block{}
+			blockInto := func() {
+				if err := rt.BlockInto(reused); err != nil {
+					t.Fatalf("%s: BlockInto: %v", c.name, err)
+				}
+				got = append(got, cloneBlock(reused))
+			}
+			blocksInto := func(count int) {
+				dst := make([]*Block, count)
+				dst[0] = &Block{}
+				if err := rt.BlocksInto(dst); err != nil {
+					t.Fatalf("%s: BlocksInto: %v", c.name, err)
+				}
+				got = append(got, dst...)
+			}
+			block := func() {
+				b := rt.Block()
+				got = append(got, &b)
+			}
+			block()
+			blockInto()
+			blocksInto(3)
+			block()
+			blocksInto(2)
+			blockInto()
+
+			s, err := NewStream(cfg)
+			if err != nil {
+				t.Fatalf("%s: NewStream: %v", c.name, err)
+			}
+			cur, err := s.NewCursor()
+			if err != nil {
+				t.Fatalf("%s: NewCursor: %v", c.name, err)
+			}
+			var want Block
+			for k := len(got) - 1; k >= 0; k-- { // reverse order: BlockAt is random access
+				if err := cur.BlockAt(uint64(k), &want); err != nil {
+					t.Fatalf("%s: BlockAt(%d): %v", c.name, k, err)
+				}
+				assertBlocksEqual(t, k, &want, got[k])
+			}
+		}
+	}
+}
+
+// cloneBlock deep-copies a block.
+func cloneBlock(b *Block) *Block {
+	c := &Block{Gaussian: make([][]complex128, len(b.Gaussian)), Envelopes: make([][]float64, len(b.Envelopes))}
+	for j := range b.Gaussian {
+		c.Gaussian[j] = append([]complex128(nil), b.Gaussian[j]...)
+		c.Envelopes[j] = append([]float64(nil), b.Envelopes[j]...)
+	}
+	return c
+}
+
 // assertBlocksEqual fails the test on the first bitwise difference.
 func assertBlocksEqual(t *testing.T, i int, want, got *Block) {
 	t.Helper()
